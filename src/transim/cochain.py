@@ -117,6 +117,10 @@ class CoorientedMember:
         return self.member.codim_in_m
 
 
+_SIGN_TRUST = 1e-9  # smallest |det| that still decides an intersection sign
+_MIN_BARYCENTRIC = 1e-6  # a counted point must sit this far inside the simplex
+
+
 def _oriented_orthonormal(cols: np.ndarray) -> np.ndarray:
     """QR orthonormalization keeping the orientation of the input columns."""
     q, r = np.linalg.qr(cols)
@@ -126,14 +130,14 @@ def _oriented_orthonormal(cols: np.ndarray) -> np.ndarray:
 
 
 def _point_sign(w: CoorientedMember, sigma: SmoothSimplexMap,
-                p: IntersectionPoint, trust: float = 1e-9) -> int:
+                p: IntersectionPoint) -> int:
     ambient = sigma.ambient
     frame = ambient.tangent_basis(p.z).basis
     co = frame.T @ w.member.coorientation_frame(p.z)
     push = frame.T @ sigma.jacobian(p.x)
     a = _oriented_orthonormal(co).T @ push
     det = float(np.linalg.det(a))
-    if abs(det) < trust:
+    if abs(det) < _SIGN_TRUST:
         raise NearSingularSign(
             f"intersection sign determinant {det:.3e} below trust threshold"
         )
@@ -151,7 +155,6 @@ def iota_W(
     rec_or_map,
     tol_rank: float = 1e-6,
     opts: LocusOptions = LocusOptions(),
-    min_barycentric: float = 1e-6,
 ) -> int:
     """Signed count of interior intersection points of a d-simplex with the
     codimension-d member.
@@ -178,7 +181,7 @@ def iota_W(
     total = 0
     for p in verdict.report.points:
         lam_min = float(np.min(barycentrics(sigma.dim, p.x)))
-        if lam_min < min_barycentric:
+        if lam_min < _MIN_BARYCENTRIC:
             raise NotTransverse(
                 f"counted point sits {lam_min:.3e} from the boundary; "
                 "complementary-dimension interiority is violated"
@@ -233,13 +236,13 @@ def pullback_evaluate(
 
 
 _EDGE_PATH = (2, 0, 1)  # delta_2, delta_0, then delta_1 reversed: v0->v1->v2->v0
+_SAMPLES_PER_EDGE = 200  # initial polyline density of each boundary edge
+_MAX_REFINEMENTS = 6  # density doublings before the oracle gives up
 
 
 def winding_number(
     sigma: SmoothSimplexMap,
     center: np.ndarray | None = None,
-    samples_per_edge: int = 200,
-    max_refinements: int = 6,
 ) -> int:
     """Winding of the boundary loop of a planar 2-simplex around a point.
 
@@ -250,8 +253,8 @@ def winding_number(
     if sigma.dim != 2 or sigma.ambient.ambient_dim != 2:
         raise ValueError("winding oracle works on planar 2-simplices")
     z0 = np.zeros(2) if center is None else np.asarray(center, dtype=float)
-    for attempt in range(max_refinements):
-        density = samples_per_edge * (2 ** attempt)
+    for attempt in range(_MAX_REFINEMENTS):
+        density = _SAMPLES_PER_EDGE * (2 ** attempt)
         total = 0.0
         ok = True
         prev_angle = None

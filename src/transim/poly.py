@@ -1,10 +1,18 @@
 """Sparse multivariate polynomial maps.
 
-A ``PolyMap`` is a polynomial map R^nvars -> R^ncomp stored as a dictionary
-from exponent tuples to coefficient vectors.  Composition with affine maps
-is carried out symbolically (coefficient substitution), so restricting a
-polynomial simplex map to a face is exact up to floating point arithmetic
-on the coefficients; no sampling or refitting is involved.
+A ``PolyMap`` is a polynomial map R^nvars -> R^ncomp.  Its one stored form
+is ``terms``, a dictionary from exponent tuples to coefficient vectors, and
+all algebra (sums, products, affine substitution, coefficient comparison)
+works on it.  Composition with affine maps is carried out symbolically
+(coefficient substitution), so restricting a polynomial simplex map to a
+face is exact up to floating point arithmetic on the coefficients; no
+sampling or refitting is involved.
+
+Evaluation arrays (an exponent matrix, the coefficient matrix and the
+derivative weights) are derived from ``terms`` on a map's first evaluation
+and kept read-only.  Every evaluation, one point or a batch, values or
+Jacobians, goes through them: a power table x_j^k, a gather over the
+exponents and one matrix product with the coefficients.
 
 ``AffineProduct`` keeps a product of affine factors in factored form.  It is
 used for the interior bump rho = product of barycentric coordinates: the
@@ -50,7 +58,7 @@ def monomial_exponents(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
 class PolyMap:
     """Polynomial map R^nvars -> R^ncomp with sparse monomial storage."""
 
-    __slots__ = ("nvars", "ncomp", "terms")
+    __slots__ = ("nvars", "ncomp", "terms", "_arrays")
 
     def __init__(self, nvars: int, ncomp: int, terms=None):
         self.nvars = int(nvars)
@@ -66,6 +74,7 @@ class PolyMap:
                     clean[exp] = vec.copy()
         # canonical (sorted) order keeps serialization and iteration stable
         self.terms = {e: clean[e] for e in sorted(clean)}
+        self._arrays = None
 
     # -- constructors -----------------------------------------------------
 
@@ -99,49 +108,58 @@ class PolyMap:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(self.nvars)
-        out = np.zeros(self.ncomp)
-        for exp, coef in self.terms.items():
-            mono = 1.0
-            for xi, e in zip(x, exp):
-                if e:
-                    mono *= xi**e
-            out += mono * coef
-        return out
+    def _eval_arrays(self):
+        """Evaluation arrays derived from ``terms`` on first use, read-only.
+
+        The power table holds x_j^k for k <= deg, deg being the largest
+        single exponent, as rows j * (deg + 1) + k.  ``idx[j, t]`` is the
+        row of x_j^e_tj.  For d/dx_i, ``jac_idx[j, i, t]`` is the row of
+        the same factor with e_ti lowered by one (clipped at zero), and
+        ``jac_coef[i, :, t]`` is the weight e_ti * c_t.
+        """
+        if self._arrays is None:
+            nterms, n = len(self.terms), self.nvars
+            exps = np.array(list(self.terms), dtype=np.intp).reshape(nterms, n).T
+            coef = np.array(list(self.terms.values()), dtype=float)
+            coef = coef.reshape(nterms, self.ncomp)
+            deg = int(exps.max(initial=0))
+            base = (np.arange(n) * (deg + 1))[:, None]
+            lowered = np.maximum(exps[:, None, :] - np.eye(n, dtype=np.intp)[:, :, None], 0)
+            arrays = (deg, base + exps, coef, base[:, None] + lowered,
+                      exps[:, None, :] * coef.T)
+            for a in arrays[1:]:
+                a.setflags(write=False)
+            self._arrays = arrays
+        return self._arrays
+
+    def _monomials(self, pts, deg: int, idx) -> np.ndarray:
+        """Monomials for the exponent rows behind ``idx``, points last: a
+        power table by cumulative product, a gather, a product over the
+        variables (the first axis of ``idx``)."""
+        pts = point_block(pts, self.nvars).T
+        table = np.empty((self.nvars, deg + 1, pts.shape[1]))
+        table[:, 0] = 1.0
+        table[:, 1:] = pts[:, None]
+        table.cumprod(axis=1, out=table)
+        flat = table.reshape(self.nvars * (deg + 1), pts.shape[1])
+        return np.take(flat, idx, axis=0).prod(axis=0)
 
     def eval_many(self, pts) -> np.ndarray:
         """Evaluate at a batch of points of shape (p, nvars)."""
-        pts = point_block(pts, self.nvars)
-        out = np.zeros((pts.shape[0], self.ncomp))
-        for exp, coef in self.terms.items():
-            mono = np.ones(pts.shape[0])
-            for j, e in enumerate(exp):
-                if e:
-                    mono = mono * pts[:, j] ** e
-            out += np.outer(mono, coef)
-        return out
+        deg, idx, coef, _, _ = self._eval_arrays()
+        return self._monomials(pts, deg, idx).T @ coef
 
-    def jac(self, x) -> np.ndarray:
-        return self.jac_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
+    def eval(self, x) -> np.ndarray:
+        return self.eval_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
 
     def jac_many(self, pts) -> np.ndarray:
         """Jacobians at a batch of points; shape (p, ncomp, nvars)."""
-        pts = point_block(pts, self.nvars)
-        out = np.zeros((pts.shape[0], self.ncomp, self.nvars))
-        for exp, coef in self.terms.items():
-            for j, e in enumerate(exp):
-                if not e:
-                    continue
-                mono = np.full(pts.shape[0], float(e))
-                for i, ei in enumerate(exp):
-                    if i == j:
-                        if ei > 1:
-                            mono = mono * pts[:, i] ** (ei - 1)
-                    elif ei:
-                        mono = mono * pts[:, i] ** ei
-                out[:, :, j] += np.outer(mono, coef)
-        return out
+        deg, _, _, jac_idx, jac_coef = self._eval_arrays()
+        mono = self._monomials(pts, deg, jac_idx)  # (nvars, nterms, p)
+        return np.matmul(jac_coef, mono).transpose(2, 1, 0)
+
+    def jac(self, x) -> np.ndarray:
+        return self.jac_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
 
     # -- algebra -----------------------------------------------------------
 
@@ -270,28 +288,6 @@ class PolyMap:
             worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
-    def to_dense(self) -> np.ndarray:
-        """Dense coefficient tensor of shape (D+1,)*nvars + (ncomp,)."""
-        deg = self.total_degree()
-        shape = (deg + 1,) * self.nvars + (self.ncomp,)
-        dense = np.zeros(shape)
-        for exp, coef in self.terms.items():
-            dense[exp] = coef
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense, nvars: int) -> "PolyMap":
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != nvars + 1:
-            raise ValueError("dense tensor rank mismatch")
-        ncomp = dense.shape[-1]
-        terms = {}
-        for exp in np.ndindex(dense.shape[:-1]):
-            vec = dense[exp]
-            if np.any(vec != 0.0):
-                terms[exp] = vec
-        return cls(nvars, ncomp, terms)
-
     def __repr__(self):  # pragma: no cover
         return f"PolyMap(nvars={self.nvars}, ncomp={self.ncomp}, nterms={len(self.terms)})"
 
@@ -335,13 +331,6 @@ class AffineProduct:
             not np.any(a != 0.0) and b == 0.0 for a, b in self.factors
         )
 
-    def eval(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(self.nvars)
-        out = 1.0
-        for a, b in self.factors:
-            out *= float(a @ x) + b
-        return out
-
     def eval_many(self, pts) -> np.ndarray:
         pts = point_block(pts, self.nvars)
         out = np.ones(pts.shape[0])
@@ -349,21 +338,24 @@ class AffineProduct:
             out = out * (pts @ a + b)
         return out
 
+    def eval(self, x) -> float:
+        return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0])
+
     def grad_many(self, pts) -> np.ndarray:
-        """Gradients at a batch of points; shape (p, nvars)."""
+        """Gradients at a batch of points; shape (p, nvars).
+
+        Product rule: factor i's direction a_i weighted by the product of
+        every other factor's value.
+        """
         pts = point_block(pts, self.nvars)
+        slopes = np.array([a for a, _ in self.factors]).reshape(self.degree, self.nvars)
         vals = np.stack([pts @ a + b for a, b in self.factors], axis=1)
-        out = np.zeros((pts.shape[0], self.nvars))
-        for i, (a, _) in enumerate(self.factors):
-            rest = np.ones(pts.shape[0])
-            for j in range(len(self.factors)):
-                if j != i:
-                    rest = rest * vals[:, j]
-            out += np.outer(rest, a)
-        return out
+        others = ~np.eye(len(self.factors), dtype=bool)
+        rest = np.where(others, vals[:, None, :], 1.0).prod(axis=2)
+        return rest @ slopes
 
     def grad(self, x) -> np.ndarray:
-        return self.grad_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
+        return self.grad_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
 
     def compose_affine(self, matrix, offset) -> "AffineProduct":
         matrix = np.asarray(matrix, dtype=float)

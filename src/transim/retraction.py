@@ -193,7 +193,7 @@ class ConeStage(Stage):
         center = np.full(n, lam_c)
         hit = center + best * (x - center)
         if side is None:
-            return self.sigma.eval(collapse_to_simplex(n, hit))
+            return self.sigma.eval(collapse_to_simplex(hit.reshape(1, n)))
         t_side = 2.0 * t_a + best * (t - 2.0 * t_a)
         t_side = min(max(t_side, 0.0), t_a)
         w = facet_coordinates(n, side, hit)

@@ -191,26 +191,27 @@ def stratum_of(n: int, x, tol: float = 1e-9) -> int:
     return int(np.sum(np.abs(lam) <= tol))
 
 
-def collapse_to_simplex(n: int, z) -> np.ndarray:
-    """Euclidean nearest point of Delta^n; 1-Lipschitz, identity on the simplex.
+def collapse_to_simplex(pts: np.ndarray) -> np.ndarray:
+    """Euclidean nearest point of Delta^n for each row of a (p, n) block;
+    1-Lipschitz, identity on the simplex.
 
-    Clip to the positive orthant first; if the coordinate sum still exceeds
-    one, the active constraint is the diagonal facet, and the projection is
-    the classic sorted-threshold projection onto {x >= 0, sum x = 1}.
+    Clipping the negatives is already the projection when the clipped sum
+    fits; otherwise the cap is active and the row projects onto the face
+    {x >= 0, sum x = 1} by the usual sort-and-threshold rule.
     """
-    z = np.asarray(z, dtype=float).reshape(n)
-    if n == 0:
-        return z.copy()
-    clipped = np.maximum(z, 0.0)
-    if clipped.sum() <= 1.0:
-        return clipped
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, n + 1)
-    cond = u - (css - 1.0) / ks > 0.0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    tau = (css[rho - 1] - 1.0) / rho
-    return np.maximum(z - tau, 0.0)
+    if pts.shape[1] == 0:
+        return pts
+    y = np.maximum(pts, 0.0)
+    over = y.sum(axis=1) > 1.0
+    if np.any(over):
+        sub = pts[over]
+        srt = np.sort(sub, axis=1)[:, ::-1]
+        csum = np.cumsum(srt, axis=1) - 1.0
+        ar = np.arange(1, sub.shape[1] + 1)
+        rho = np.sum(srt - csum / ar > 0, axis=1)
+        theta = csum[np.arange(len(sub)), rho - 1] / rho
+        y[over] = np.maximum(sub - theta[:, None], 0.0)
+    return y
 
 
 def enumerate_face_maps(n: int) -> list[DeltaMorphism]:

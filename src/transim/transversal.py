@@ -26,6 +26,7 @@ from .poly import PolyMap
 from .simplex_geom import (
     DeltaMorphism,
     barycentrics_many,
+    collapse_to_simplex,
     face_for_vertices,
     realize_morphism,
     simplex_grid,
@@ -51,6 +52,10 @@ LEVEL_SET = "level_set"
 PARAMETRIC = "parametric"
 
 _STRATUM_RANK_TOL = 1e-7
+_MAX_CELLS_PER_DIM = 64  # cap of the cell escalation in is_transverse_pair
+_CLUSTER_RADIUS = 1e-6  # located points closer than this are one point
+_OPEN_TOL = 1e-9  # barycentric / inequality margin of an open stratum
+_MAX_ITERS = 30  # Gauss-Newton iterations per solve
 
 
 @dataclass(frozen=True)
@@ -180,11 +185,7 @@ class TCollection:
 @dataclass(frozen=True)
 class LocusOptions:
     cells_per_dim: int = 8
-    max_cells_per_dim: int = 64
     tau_root: float = 1e-10
-    cluster_radius: float = 1e-6
-    open_tol: float = 1e-9
-    max_iters: int = 30
 
 
 @dataclass
@@ -220,30 +221,8 @@ class IntersectionReport:
         self.cells_used = max(self.cells_used, other.cells_used)
 
 
-def _project_corner(pts: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto {x >= 0, sum x <= 1}.
-
-    Clipping the negatives is already the projection when the clipped sum
-    fits; otherwise the cap is active and the row projects onto the face
-    {x >= 0, sum x = 1} by the usual sort-and-threshold rule.
-    """
-    if pts.shape[1] == 0:
-        return pts
-    y = np.maximum(pts, 0.0)
-    over = y.sum(axis=1) > 1.0
-    if np.any(over):
-        sub = pts[over]
-        srt = np.sort(sub, axis=1)[:, ::-1]
-        csum = np.cumsum(srt, axis=1) - 1.0
-        ar = np.arange(1, sub.shape[1] + 1)
-        rho = np.sum(srt - csum / ar > 0, axis=1)
-        theta = csum[np.arange(len(sub)), rho - 1] / rho
-        y[over] = np.maximum(sub - theta[:, None], 0.0)
-    return y
-
-
 def _batched_newton(residual, jacobian, seeds: np.ndarray, opts: LocusOptions,
-                    clip=_project_corner):
+                    clip=collapse_to_simplex):
     """Gauss-Newton from every seed at once; returns (solutions, residual norms).
 
     Iterates are retracted into the feasible block after every step: the
@@ -254,7 +233,7 @@ def _batched_newton(residual, jacobian, seeds: np.ndarray, opts: LocusOptions,
     if u.shape[1] == 0:
         r = residual(u)
         return u, np.max(np.abs(r), axis=1) if r.shape[1] else np.zeros(len(u))
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         r = residual(u)
         norms = np.max(np.abs(r), axis=1)
         if np.all(norms <= opts.tau_root):
@@ -267,15 +246,15 @@ def _batched_newton(residual, jacobian, seeds: np.ndarray, opts: LocusOptions,
     return u, norms
 
 
-def _cluster(points: list[IntersectionPoint], radius: float) -> list[IntersectionPoint]:
+def _cluster(points: list[IntersectionPoint]) -> list[IntersectionPoint]:
     kept: list[IntersectionPoint] = []
     for p in sorted(points, key=lambda q: (q.residual, tuple(np.round(q.x, 12)))):
         close = False
         for q in kept:
             if (
-                np.max(np.abs(p.x - q.x)) <= radius
+                np.max(np.abs(p.x - q.x)) <= _CLUSTER_RADIUS
                 and len(p.y) == len(q.y)
-                and (len(p.y) == 0 or np.max(np.abs(p.y - q.y)) <= radius)
+                and (len(p.y) == 0 or np.max(np.abs(p.y - q.y)) <= _CLUSTER_RADIUS)
             ):
                 close = True
                 break
@@ -342,11 +321,11 @@ def _solve_descriptor_pair(
         )
 
     if member.kind == LEVEL_SET:
-        clip = _project_corner
+        clip = collapse_to_simplex
     else:
         def clip(u):
             return np.concatenate(
-                [_project_corner(u[:, :split]), _project_corner(u[:, split:])],
+                [collapse_to_simplex(u[:, :split]), collapse_to_simplex(u[:, split:])],
                 axis=1,
             )
 
@@ -357,7 +336,7 @@ def _solve_descriptor_pair(
     for sol, norm in zip(sols, norms):
         w = sol[:split]
         lam_w = barycentrics_many(du_s, w[None, :])[0]
-        inside = np.all(lam_w > opts.open_tol)
+        inside = np.all(lam_w > _OPEN_TOL)
         if norm > opts.tau_root:
             # count only failures that stayed in the domain; seeds that wander
             # off are expected and not evidence of trouble
@@ -371,7 +350,7 @@ def _solve_descriptor_pair(
         if member.kind == LEVEL_SET:
             ok = True
             for b, h in enumerate(member.inequalities):
-                if b not in active and h.eval(z)[0] <= opts.open_tol:
+                if b not in active and h.eval(z)[0] <= _OPEN_TOL:
                     ok = False
                     break
             if not ok:
@@ -380,7 +359,7 @@ def _solve_descriptor_pair(
         else:
             v = sol[split:]
             lam_v = barycentrics_many(len(v), v[None, :])[0]
-            if not np.all(lam_v > opts.open_tol):
+            if not np.all(lam_v > _OPEN_TOL):
                 continue
             y = aff_m.apply(v)
         candidates.append(
@@ -394,7 +373,7 @@ def _solve_descriptor_pair(
                 residual=float(norm),
             )
         )
-    report.points = _cluster(candidates, opts.cluster_radius)
+    report.points = _cluster(candidates)
     return report
 
 
@@ -418,7 +397,7 @@ def intersection_locus(
             report.extend(
                 _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
             )
-    report.points = _cluster(report.points, opts.cluster_radius)
+    report.points = _cluster(report.points)
     return report
 
 
@@ -552,7 +531,7 @@ def is_transverse_pair(
         svs = [p.spanning_sv for p in report.points]
         min_sv = min(svs) if svs else math.inf
         near = any(tol_rank / 10 <= s < tol_rank * 10 for s in svs)
-        if near and cells * 2 <= opts.max_cells_per_dim:
+        if near and cells * 2 <= _MAX_CELLS_PER_DIM:
             cells *= 2
             continue
         ok = all(s >= tol_rank for s in svs)

@@ -197,6 +197,10 @@ def test_acceptance_7_stratum_vacuity(acceptance_log):
 
 def test_acceptance_8_report_determinism(acceptance_log, tmp_path):
     config = os.path.join(os.path.dirname(cli.__file__), "configs", "verify_fast.json")
+    # the CLI subprocesses import the same transim sources as this process
+    src_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
     texts = []
     codes = []
     for k in range(2):
@@ -204,7 +208,7 @@ def test_acceptance_8_report_determinism(acceptance_log, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "transim.cli", "--config", config,
              "--out", str(out)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         codes.append(proc.returncode)
         report = json.loads(out.read_text())

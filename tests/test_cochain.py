@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from transim.scenarios import (
 )
 from transim.smooth_maps import SmoothSimplexMap
 from transim.transversal import CornerManifold, LocusOptions, TCollection
+from transim.verify import check_cocycle_zero
 
 _OPTS = LocusOptions(cells_per_dim=12)
 
@@ -137,6 +139,23 @@ def test_cocycle_vanishes_on_transverse_boundary():
     fam = _family(member)
     tau = fam.add(random_transverse_cubic(rng, member, opts=_OPTS))
     assert cocycle_check(CoorientedMember(member), tau, fam, opts=_OPTS) == 0
+
+
+def test_cocycle_stream_report_is_deterministic():
+    """Two runs in one process agree once the timing field is dropped, and
+    each boundary count is the alternating sum of its face counts."""
+
+    def stripped():
+        d = check_cocycle_zero(seed=3, count=3).describe()
+        del d["details"]["elapsed_s"]
+        return d
+
+    first = stripped()
+    assert json.dumps(first, sort_keys=True) == json.dumps(stripped(), sort_keys=True)
+    assert first["ok"] and len(first["details"]["cases"]) == 3
+    for row in first["details"]["cases"]:
+        alternating = sum((-1) ** f["face"] * f["iota"] for f in row["faces"])
+        assert row["boundary_count"] == alternating == 0
 
 
 def test_cocycle_requires_one_extra_dimension(crossing_triangle):

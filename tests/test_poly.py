@@ -22,13 +22,68 @@ def test_zero_terms_are_dropped():
     assert list(p.terms) == [(1, 0)]
 
 
-def test_eval_matches_eval_many():
-    rng = np.random.default_rng(3)
+def _per_term(p, pts):
+    """Values and Jacobians straight from the definition: sum_t c_t prod_j
+    x_j^e_tj, and d/dx_k of that, one term and one point at a time."""
+    vals = np.zeros((len(pts), p.ncomp))
+    jacs = np.zeros((len(pts), p.ncomp, p.nvars))
+    for r, x in enumerate(pts):
+        for exp, coef in p.terms.items():
+            vals[r] += coef * math.prod(xi**e for xi, e in zip(x, exp))
+            for k, ek in enumerate(exp):
+                if ek:
+                    rest = math.prod(xi**e for i, (xi, e) in enumerate(zip(x, exp)) if i != k)
+                    jacs[r, :, k] += coef * ek * x[k] ** (ek - 1) * rest
+    return vals, jacs
+
+
+@pytest.mark.parametrize("nvars,ncomp,degree,rows", [
+    (3, 2, 3, 20), (2, 1, 4, 1), (1, 3, 2, 0), (0, 2, 0, 5), (0, 1, 0, 0), (4, 1, 2, 7),
+], ids=["cubic", "one-row", "no-rows", "no-vars", "no-vars-no-rows", "four-vars"])
+def test_eval_many_and_jac_many_match_per_term_formula(nvars, ncomp, degree, rows):
+    rng = np.random.default_rng(3 + nvars + rows)
+    polys = [_random_poly(rng, nvars, ncomp, degree), PolyMap.zero(nvars, ncomp)]
+    if nvars:
+        # sparse, with gaps in the exponents of each variable
+        polys.append(PolyMap(nvars, ncomp, {
+            (3,) + (0,) * (nvars - 1): rng.uniform(-1, 1, ncomp),
+            (0,) * (nvars - 1) + (5,): rng.uniform(-1, 1, ncomp),
+        }))
+    pts = rng.uniform(-1.5, 1.5, (rows, nvars))
+    for p in polys:
+        vals, jacs = _per_term(p, pts)
+        got = p.eval_many(pts)
+        got_jac = p.jac_many(pts)
+        assert got.shape == (rows, ncomp)
+        assert got_jac.shape == (rows, ncomp, nvars)
+        assert np.allclose(got, vals, rtol=1e-13, atol=1e-13)
+        assert np.allclose(got_jac, jacs, rtol=1e-13, atol=1e-13)
+        for x, v, j in zip(pts, vals, jacs):
+            assert np.allclose(p.eval(x), v, rtol=1e-13, atol=1e-13)
+            assert np.allclose(p.jac(x), j, rtol=1e-13, atol=1e-13)
+
+
+def test_evaluation_leaves_algebra_unchanged():
+    """Evaluating a map derives its arrays; sums, products and affine
+    substitution must still give the coefficients of a fresh copy."""
+    rng = np.random.default_rng(10)
     p = _random_poly(rng, 3, 2, 3)
-    pts = rng.uniform(-1, 1, (20, 3))
-    batch = p.eval_many(pts)
-    for x, row in zip(pts, batch):
-        assert np.allclose(p.eval(x), row, atol=1e-14)
+    s = _random_poly(rng, 3, 1, 2)
+    pts = rng.uniform(-1, 1, (6, 3))
+    mat = rng.uniform(-1, 1, (3, 2))
+    off = rng.uniform(-1, 1, 3)
+
+    def results(a, b):
+        return [a + a, b * a, a.compose_affine(mat, off), b.compose_affine(mat, off)]
+
+    fresh = results(PolyMap(3, 2, p.terms), PolyMap(3, 1, s.terms))
+    for q in (p, s):
+        q.eval_many(pts)
+        q.jac_many(pts)
+    for want, got in zip(fresh, results(p, s)):
+        assert list(got.terms) == list(want.terms)
+        assert got.max_coeff_diff(want) == 0.0
+    assert np.array_equal(p.eval_many(pts), PolyMap(3, 2, p.terms).eval_many(pts))
 
 
 def test_jac_matches_central_differences():
@@ -82,13 +137,6 @@ def test_total_degree_and_component():
     assert p.total_degree() == 3
     assert p.component(0).total_degree() == 0
     assert p.component(1).total_degree() == 3
-
-
-def test_dense_roundtrip():
-    rng = np.random.default_rng(8)
-    p = _random_poly(rng, 2, 3, 2)
-    q = PolyMap.from_dense(p.to_dense(), 2)
-    assert p.max_coeff_diff(q) == 0.0
 
 
 def test_barycentric_product_vanishes_on_facets_exactly():

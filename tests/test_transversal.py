@@ -13,13 +13,12 @@ from transim.scenarios import (
     plane,
     tangent_longitude_arcs,
 )
-from transim.simplex_geom import DeltaMorphism
+from transim.simplex_geom import DeltaMorphism, collapse_to_simplex
 from transim.smooth_maps import SmoothSimplexMap, maps_close
 from transim.transversal import (
     CornerManifold,
     LocusOptions,
     TCollection,
-    _project_corner,
     intersection_locus,
     is_T_transverse,
     is_transverse_pair,
@@ -96,18 +95,18 @@ def test_parametric_member_crossing():
 def test_project_corner_properties():
     rng = np.random.default_rng(51)
     pts = rng.uniform(-2.0, 2.0, (200, 3))
-    proj = _project_corner(pts)
+    proj = collapse_to_simplex(pts)
     assert np.all(proj >= 0.0)
     assert np.all(proj.sum(axis=1) <= 1.0 + 1e-12)
-    assert np.allclose(_project_corner(proj), proj, atol=1e-12)
+    assert np.allclose(collapse_to_simplex(proj), proj, atol=1e-12)
     inside = np.array([[0.2, 0.3, 0.1], [0.0, 0.0, 0.0]])
-    assert np.array_equal(_project_corner(inside), inside)
+    assert np.array_equal(collapse_to_simplex(inside), inside)
     # projection is the nearest feasible point; spot-check optimality
     z = np.array([[0.9, 0.8, -0.3]])
-    p = _project_corner(z)[0]
+    p = collapse_to_simplex(z)[0]
     for d in np.eye(3):
         for s in (1e-4, -1e-4):
-            q = _project_corner((p + s * d)[None, :])[0]
+            q = collapse_to_simplex((p + s * d)[None, :])[0]
             assert np.linalg.norm(z[0] - q) >= np.linalg.norm(z[0] - p) - 1e-9
 
 
