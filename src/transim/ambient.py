@@ -178,9 +178,6 @@ class AmbientManifold:
 
     # -- projection differential -----------------------------------------------
 
-    def project_jacobian(self, z) -> np.ndarray:
-        return self.project_jacobian_many(np.asarray(z, dtype=float).reshape(1, -1))[0]
-
     def project_jacobian_many(self, pts) -> np.ndarray:
         """D(pi) at tube points; analytic for presets, central FD for level sets."""
         pts = np.asarray(pts, dtype=float).reshape(-1, self.ambient_dim)

@@ -58,7 +58,6 @@ class SingularRecord:
     id: str
     dim: int
     map: SmoothSimplexMap
-    nondegenerate: bool
     status: str
     faces: tuple[str, ...]
 
@@ -300,31 +299,23 @@ class FiniteSingularFamily:
         self.opts = opts
         self.smoothing_tol = smoothing_tol
         self.max_trials = max_trials
-        self.records: dict[str, SingularRecord] = {}
-        self._order: list[str] = []
+        self.records: dict[str, SingularRecord] = {}  # in insertion order
         self.memo: dict[str, HomotopyTrack] = {}
         self._retracted: dict[str, str] = {}
 
     # record management
 
     def _find(self, m: SmoothSimplexMap) -> SingularRecord | None:
-        for rid in self._order:
-            rec = self.records[rid]
+        for rec in self.records.values():
             if rec.dim == m.dim and maps_close(rec.map, m, 1e-12):
                 return rec
         return None
 
     def _new_record(self, m: SmoothSimplexMap, faces: tuple[str, ...],
                     status: str = STATUS_SMOOTH) -> SingularRecord:
-        rid = f"r{len(self._order)}"
-        collapse, _ = nondeg_factorize(m)
-        rec = SingularRecord(
-            id=rid, dim=m.dim, map=m,
-            nondegenerate=collapse.is_identity(),
-            status=status, faces=faces,
-        )
+        rid = f"r{len(self.records)}"
+        rec = SingularRecord(id=rid, dim=m.dim, map=m, status=status, faces=faces)
         self.records[rid] = rec
-        self._order.append(rid)
         return rec
 
     def add(self, m: SmoothSimplexMap) -> SingularRecord:
@@ -345,7 +336,7 @@ class FiniteSingularFamily:
         return self._new_record(m, faces)
 
     def __iter__(self):
-        return (self.records[rid] for rid in self._order)
+        return iter(self.records.values())
 
     # track construction
 
@@ -462,18 +453,17 @@ class FiniteSingularFamily:
 
     def report(self) -> dict:
         recs = []
-        for rid in self._order:
-            rec = self.records[rid]
+        for rec in self.records.values():
             recs.append({
                 "id": rec.id,
                 "dim": rec.dim,
                 "status": rec.status,
-                "nondegenerate": rec.nondegenerate,
+                "nondegenerate": nondeg_factorize(rec.map)[0].is_identity(),
                 "faces": list(rec.faces),
                 "degree": rec.map.degree(),
                 "bumps": len(rec.map.bumps),
             })
-        tracks = [self.memo[rid].describe() for rid in self._order if rid in self.memo]
+        tracks = [self.memo[rid].describe() for rid in self.records if rid in self.memo]
         return {
             "seed": self.seed,
             "tol_rank": self.tol_rank,

@@ -27,7 +27,6 @@ __all__ = [
     "barycentrics_many",
     "stratum_of",
     "collapse_to_simplex",
-    "enumerate_face_maps",
     "face_for_vertices",
     "facet_coordinates",
     "principal_lattice",
@@ -66,13 +65,6 @@ class SimplexDomain:
         for i in range(self.dim):
             out[i + 1, i] = 1.0
         return out
-
-    def barycenter(self) -> np.ndarray:
-        return np.full(self.dim, 1.0 / (self.dim + 1))
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        lam = barycentrics(self.dim, x)
-        return bool(np.all(lam >= -tol))
 
     def random_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform sample via sorted-uniform gaps."""
@@ -130,21 +122,6 @@ class DeltaMorphism:
             range(self.source + 1)
         )
 
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == self.source + 1
-
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.target + 1
-
-    def epi_mono(self) -> tuple["DeltaMorphism", "DeltaMorphism"]:
-        """Factor as injection o surjection."""
-        image = sorted(set(self.values))
-        p = len(image) - 1
-        mono = DeltaMorphism(p, self.target, tuple(image))
-        index = {v: k for k, v in enumerate(image)}
-        epi = DeltaMorphism(self.source, p, tuple(index[v] for v in self.values))
-        return mono, epi
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -155,13 +132,6 @@ class AffineMap:
 
     def apply(self, x) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset
-
-    def apply_many(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        cols = self.matrix.shape[1]
-        rows = pts.shape[0] if (cols == 0 and pts.ndim == 2) else (1 if cols == 0 else -1)
-        pts = pts.reshape(rows, cols)
-        return pts @ self.matrix.T + self.offset
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self o inner."""
@@ -212,10 +182,6 @@ def collapse_to_simplex(pts: np.ndarray) -> np.ndarray:
         theta = csum[np.arange(len(sub)), rho - 1] / rho
         y[over] = np.maximum(sub - theta[:, None], 0.0)
     return y
-
-
-def enumerate_face_maps(n: int) -> list[DeltaMorphism]:
-    return [DeltaMorphism.face(i, n) for i in range(n + 1)]
 
 
 def face_for_vertices(n: int, verts) -> DeltaMorphism:

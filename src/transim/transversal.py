@@ -6,10 +6,15 @@ manifold by polynomial equations and inequalities, or a parametric patch
 sides are indexed by what vanishes: barycentric coordinates for simplices
 and parametric patches, active inequalities for level sets.
 
-The locus finder seeds a uniform lattice in the joint parameter domain and
-runs batched Gauss-Newton; completeness is heuristic and is guarded by the
-density escalation in ``is_transverse_pair``.  Every verdict is therefore a
-numerical statement about located points, not a certificate.
+The locus finder makes each stratum pair's points in one pass.  For one
+open face of the simplex against one open stratum of a member it seeds a
+uniform lattice in the joint parameter domain, runs batched Gauss-Newton,
+keeps the roots that lie in both open strata, clusters them, and gives each
+kept point its spanning margin from the face map, the face coordinates and
+the stratum's constraints or chart coordinates that the solve already
+holds.  Completeness is heuristic and is guarded by the density escalation
+in ``is_transverse_pair``.  Every verdict is therefore a numerical statement
+about located points, not a certificate.
 """
 
 from __future__ import annotations
@@ -221,218 +226,53 @@ class IntersectionReport:
         self.cells_used = max(self.cells_used, other.cells_used)
 
 
-def _batched_newton(residual, jacobian, seeds: np.ndarray, opts: LocusOptions,
+def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
                     clip=collapse_to_simplex):
     """Gauss-Newton from every seed at once; returns (solutions, residual norms).
 
-    Iterates are retracted into the feasible block after every step: the
-    sought roots live in the simplex, and projected maps are only
-    guaranteed to stay inside the ambient tube there.
+    ``linearize(u)`` gives the residuals (p, c) and their Jacobians (p, c, k)
+    at a block of iterates.  Iterates are retracted into the feasible block
+    after every step: the sought roots live in the simplex, and projected
+    maps are only guaranteed to stay inside the ambient tube there.  A
+    linearization that vanishes identically (no free coordinates, as on a
+    vertex against a point) gives every seed a zero step, so the loop stops.
     """
     u = seeds.copy()
-    if u.shape[1] == 0:
-        r = residual(u)
-        return u, np.max(np.abs(r), axis=1) if r.shape[1] else np.zeros(len(u))
     for _ in range(_MAX_ITERS):
-        r = residual(u)
+        r, j = linearize(u)
         norms = np.max(np.abs(r), axis=1)
-        if np.all(norms <= opts.tau_root):
-            break
-        j = jacobian(u)
+        if np.all(norms <= opts.tau_root) or not j.any():
+            return u, norms
         step = np.einsum("pij,pj->pi", np.linalg.pinv(j), r)
         u = clip(u - step)
-    r = residual(u)
-    norms = np.max(np.abs(r), axis=1) if r.shape[1] else np.zeros(len(u))
-    return u, norms
+    r, _ = linearize(u)
+    return u, np.max(np.abs(r), axis=1)
 
 
-def _cluster(points: list[IntersectionPoint]) -> list[IntersectionPoint]:
-    kept: list[IntersectionPoint] = []
-    for p in sorted(points, key=lambda q: (q.residual, tuple(np.round(q.x, 12)))):
-        close = False
-        for q in kept:
-            if (
-                np.max(np.abs(p.x - q.x)) <= _CLUSTER_RADIUS
-                and len(p.y) == len(q.y)
-                and (len(p.y) == 0 or np.max(np.abs(p.y - q.y)) <= _CLUSTER_RADIUS)
-            ):
-                close = True
-                break
-        if not close:
-            kept.append(p)
+def _cluster(points: list[IntersectionPoint]) -> list[int]:
+    """Indices of the points a greedy merge keeps, lowest residual first: a
+    point within _CLUSTER_RADIUS of a kept one in both x and y is dropped."""
+    order = sorted(range(len(points)),
+                   key=lambda i: (points[i].residual, tuple(np.round(points[i].x, 12))))
+    rows = np.array([np.concatenate([p.x, p.y]) for p in points])
+    kept: list[int] = []
+    for i in order:
+        if kept and np.min(np.max(np.abs(rows[kept] - rows[i]), axis=1)) <= _CLUSTER_RADIUS:
+            continue
+        kept.append(i)
     return kept
 
 
-def _solve_descriptor_pair(
-    sigma: SmoothSimplexMap,
-    member: CornerManifold,
-    vanishing: tuple[int, ...],
-    active: tuple[int, ...],
-    cells: int,
-    opts: LocusOptions,
-) -> IntersectionReport:
-    n = sigma.dim
-    kept_vertices = tuple(i for i in range(n + 1) if i not in vanishing)
-    beta = face_for_vertices(n, kept_vertices)
-    sigma_f = sigma.restrict(beta)
-    aff = realize_morphism(beta)
-    du_s = n - len(vanishing)
-    seeds_s = simplex_grid(du_s, cells + 1)
-
-    if member.kind == LEVEL_SET:
-        eqs = [member.level] + [member.inequalities[a] for a in active]
-
-        def residual(w):
-            z = sigma_f.eval_many(w)
-            return np.concatenate([e.eval_many(z) for e in eqs], axis=1)
-
-        def jacobian(w):
-            z = sigma_f.eval_many(w)
-            js = sigma_f.jacobian_many(w)
-            dz = np.concatenate([e.jac_many(z) for e in eqs], axis=1)
-            return np.einsum("pij,pjk->pik", dz, js)
-
-        seeds = seeds_s
-        split = du_s
-    else:
-        d = member.chart.dim
-        kept_m = tuple(i for i in range(d + 1) if i not in active)
-        gamma = face_for_vertices(d, kept_m)
-        chart_f = member.chart.restrict(gamma)
-        aff_m = realize_morphism(gamma)
-        du_m = d - len(active)
-        seeds_m = simplex_grid(du_m, cells + 1)
-        split = du_s
-
-        def residual(u):
-            return sigma_f.eval_many(u[:, :split]) - chart_f.eval_many(u[:, split:])
-
-        def jacobian(u):
-            js = sigma_f.jacobian_many(u[:, :split])
-            jm = chart_f.jacobian_many(u[:, split:])
-            return np.concatenate([js, -jm], axis=2)
-
-        seeds = np.concatenate(
-            [
-                np.repeat(seeds_s, len(seeds_m), axis=0),
-                np.tile(seeds_m, (len(seeds_s), 1)),
-            ],
-            axis=1,
-        )
-
-    if member.kind == LEVEL_SET:
-        clip = collapse_to_simplex
-    else:
-        def clip(u):
-            return np.concatenate(
-                [collapse_to_simplex(u[:, :split]), collapse_to_simplex(u[:, split:])],
-                axis=1,
-            )
-
-    sols, norms = _batched_newton(residual, jacobian, seeds, opts, clip)
-
-    report = IntersectionReport(cells_used=cells)
-    candidates: list[IntersectionPoint] = []
-    for sol, norm in zip(sols, norms):
-        w = sol[:split]
-        lam_w = barycentrics_many(du_s, w[None, :])[0]
-        inside = np.all(lam_w > _OPEN_TOL)
-        if norm > opts.tau_root:
-            # count only failures that stayed in the domain; seeds that wander
-            # off are expected and not evidence of trouble
-            if inside and norm > 1e-6:
-                report.newton_failures += 1
-            continue
-        if not inside:
-            continue
-        x = aff.apply(w)
-        z = sigma_f.eval(w)
-        if member.kind == LEVEL_SET:
-            ok = True
-            for b, h in enumerate(member.inequalities):
-                if b not in active and h.eval(z)[0] <= _OPEN_TOL:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            y = z
-        else:
-            v = sol[split:]
-            lam_v = barycentrics_many(len(v), v[None, :])[0]
-            if not np.all(lam_v > _OPEN_TOL):
-                continue
-            y = aff_m.apply(v)
-        candidates.append(
-            IntersectionPoint(
-                member=member.name,
-                x=x,
-                simplex_vanishing=vanishing,
-                y=y,
-                member_active=active,
-                z=z,
-                residual=float(norm),
-            )
-        )
-    report.points = _cluster(candidates)
-    return report
-
-
-def intersection_locus(
-    sigma: SmoothSimplexMap,
-    simplex_depth: int,
-    member: CornerManifold,
-    member_depth: int,
-    opts: LocusOptions = LocusOptions(),
-    cells: int | None = None,
-) -> IntersectionReport:
-    """All located intersections between the open depth-k stratum of the
-    simplex and the open depth-l stratum of the member."""
-    n = sigma.dim
-    cells = opts.cells_per_dim if cells is None else cells
-    report = IntersectionReport(cells_used=cells)
-    if simplex_depth > n or member_depth not in member.depths():
-        return report
-    for vanishing in itertools.combinations(range(n + 1), simplex_depth):
-        for active in member.descriptors(member_depth):
-            report.extend(
-                _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
-            )
-    report.points = _cluster(report.points)
-    return report
-
-
-def _member_stratum_tangent(
-    member: CornerManifold,
-    point: IntersectionPoint,
-    frame: np.ndarray,
-) -> np.ndarray:
-    """Orthonormal basis, in the given tangent frame of M, of the member
-    stratum's tangent space at the intersection point."""
-    m = frame.shape[1]
-    if member.kind == LEVEL_SET:
-        rows = [member.level.jac(point.z) @ frame]
-        for a in point.member_active:
-            rows.append(member.inequalities[a].jac(point.z) @ frame)
-        constraints = np.concatenate(rows, axis=0)
-        u, sv, vh = np.linalg.svd(constraints)
-        scale = max(sv[0], 1.0) if len(sv) else 1.0
-        rank = int(np.sum(sv > _STRATUM_RANK_TOL * scale))
-        if rank < constraints.shape[0]:
-            raise RankDrop(
-                f"member {member.name}: stratum constraints drop rank at z={point.z}"
-            )
-        return vh[rank:].T
-    d = member.chart.dim
-    kept = tuple(i for i in range(d + 1) if i not in point.member_active)
-    gamma = face_for_vertices(d, kept)
-    chart_f = member.chart.restrict(gamma)
-    aff_m = realize_morphism(gamma)
-    if aff_m.matrix.size:
-        v = np.linalg.lstsq(aff_m.matrix, point.y - aff_m.offset, rcond=None)[0]
-    else:
-        v = np.zeros(aff_m.matrix.shape[1])
-    cols = chart_f.jacobian(v)
-    return frame.T @ cols
+def _level_set_tangent(member: CornerManifold, constraints: np.ndarray,
+                       z: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, in the tangent frame the constraint rows are
+    written in, of the kernel of a level-set stratum's constraints."""
+    _, sv, vh = np.linalg.svd(constraints)
+    scale = max(sv[0], 1.0) if len(sv) else 1.0
+    rank = int(np.sum(sv > _STRATUM_RANK_TOL * scale))
+    if rank < constraints.shape[0]:
+        raise RankDrop(f"member {member.name}: stratum constraints drop rank at z={z}")
+    return vh[rank:].T
 
 
 def _normalize_columns(a: np.ndarray) -> np.ndarray:
@@ -455,21 +295,137 @@ def _spanning_sv(cols: np.ndarray) -> float:
     return float(sv[m - 1])
 
 
-def _attach_spanning_sv(
-    sigma: SmoothSimplexMap, member: CornerManifold, point: IntersectionPoint
-) -> None:
-    ambient = sigma.ambient
-    frame = ambient.tangent_basis(point.z).basis
+def _solve_descriptor_pair(
+    sigma: SmoothSimplexMap,
+    member: CornerManifold,
+    vanishing: tuple[int, ...],
+    active: tuple[int, ...],
+    cells: int,
+    opts: LocusOptions,
+) -> IntersectionReport:
+    """Located points of one open simplex face against one open member
+    stratum, each with its spanning margin."""
     n = sigma.dim
-    kept = tuple(i for i in range(n + 1) if i not in point.simplex_vanishing)
-    face_aff = realize_morphism(face_for_vertices(n, kept))
-    jac = sigma.jacobian(point.x)
-    simplex_cols = frame.T @ (jac @ face_aff.matrix)
-    member_cols = _member_stratum_tangent(member, point, frame)
-    combined = np.concatenate(
-        [_normalize_columns(simplex_cols), _normalize_columns(member_cols)], axis=1
-    )
-    point.spanning_sv = _spanning_sv(combined)
+    kept_vertices = tuple(i for i in range(n + 1) if i not in vanishing)
+    beta = face_for_vertices(n, kept_vertices)
+    sigma_f = sigma.restrict(beta)
+    aff = realize_morphism(beta)
+    split = n - len(vanishing)
+    seeds = simplex_grid(split, cells + 1)
+
+    if member.kind == LEVEL_SET:
+        eqs = [member.level] + [member.inequalities[a] for a in active]
+
+        def linearize(w):
+            z = sigma_f.eval_many(w)
+            r = np.concatenate([e.eval_many(z) for e in eqs], axis=1)
+            dz = np.concatenate([e.jac_many(z) for e in eqs], axis=1)
+            return r, np.einsum("pij,pjk->pik", dz, sigma_f.jacobian_many(w))
+
+        clip = collapse_to_simplex
+    else:
+        d = member.chart.dim
+        gamma = face_for_vertices(d, tuple(i for i in range(d + 1) if i not in active))
+        chart_f = member.chart.restrict(gamma)
+        aff_m = realize_morphism(gamma)
+        seeds_m = simplex_grid(d - len(active), cells + 1)
+        seeds = np.concatenate(
+            [np.repeat(seeds, len(seeds_m), axis=0), np.tile(seeds_m, (len(seeds), 1))],
+            axis=1,
+        )
+
+        def linearize(u):
+            w, v = u[:, :split], u[:, split:]
+            r = sigma_f.eval_many(w) - chart_f.eval_many(v)
+            jac = np.concatenate([sigma_f.jacobian_many(w), -chart_f.jacobian_many(v)],
+                                 axis=2)
+            return r, jac
+
+        def clip(u):
+            return np.concatenate(
+                [collapse_to_simplex(u[:, :split]), collapse_to_simplex(u[:, split:])],
+                axis=1,
+            )
+
+    sols, norms = _batched_newton(linearize, seeds, opts, clip)
+
+    report = IntersectionReport(cells_used=cells)
+    candidates: list[IntersectionPoint] = []
+    candidate_sols = []
+    inside = np.all(barycentrics_many(split, sols[:, :split]) > _OPEN_TOL, axis=1)
+    for sol, norm, ins in zip(sols, norms, inside):
+        if norm > opts.tau_root:
+            # count only failures that stayed in the domain; seeds that wander
+            # off are expected and not evidence of trouble
+            if ins and norm > 1e-6:
+                report.newton_failures += 1
+            continue
+        if not ins:
+            continue
+        w = sol[:split]
+        z = sigma_f.eval(w)
+        if member.kind == LEVEL_SET:
+            if any(h.eval(z)[0] <= _OPEN_TOL
+                   for b, h in enumerate(member.inequalities) if b not in active):
+                continue
+            y = z
+        else:
+            v = sol[split:]
+            if not np.all(barycentrics_many(len(v), v[None, :])[0] > _OPEN_TOL):
+                continue
+            y = aff_m.apply(v)
+        candidates.append(IntersectionPoint(
+            member=member.name, x=aff.apply(w), simplex_vanishing=vanishing,
+            y=y, member_active=active, z=z, residual=float(norm),
+        ))
+        candidate_sols.append(sol)
+
+    # clustered first: the margin is computed once per kept point
+    keep = _cluster(candidates)
+    report.points = [candidates[i] for i in keep]
+    if not keep:
+        return report
+    kept_sols = np.array([candidate_sols[i] for i in keep])
+    simplex_jacs = sigma_f.jacobian_many(kept_sols[:, :split])
+    if member.kind == LEVEL_SET:
+        zs = np.array([p.z for p in report.points])
+        member_jacs = np.concatenate([e.jac_many(zs) for e in eqs], axis=1)
+    else:
+        member_jacs = chart_f.jacobian_many(kept_sols[:, split:])
+    for p, js, jm in zip(report.points, simplex_jacs, member_jacs):
+        frame = sigma.ambient.tangent_basis(p.z).basis
+        if member.kind == LEVEL_SET:
+            member_cols = _level_set_tangent(member, jm @ frame, p.z)
+        else:
+            member_cols = frame.T @ jm
+        p.spanning_sv = _spanning_sv(np.concatenate(
+            [_normalize_columns(frame.T @ js), _normalize_columns(member_cols)], axis=1))
+    return report
+
+
+def intersection_locus(
+    sigma: SmoothSimplexMap,
+    simplex_depth: int,
+    member: CornerManifold,
+    member_depth: int,
+    opts: LocusOptions = LocusOptions(),
+    cells: int | None = None,
+) -> IntersectionReport:
+    """All located intersections between the open depth-k stratum of the
+    simplex and the open depth-l stratum of the member, with their spanning
+    margins."""
+    n = sigma.dim
+    cells = opts.cells_per_dim if cells is None else cells
+    report = IntersectionReport(cells_used=cells)
+    if simplex_depth > n or member_depth not in member.depths():
+        return report
+    for vanishing in itertools.combinations(range(n + 1), simplex_depth):
+        for active in member.descriptors(member_depth):
+            report.extend(
+                _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
+            )
+    report.points = [report.points[i] for i in _cluster(report.points)]
+    return report
 
 
 @dataclass
@@ -526,8 +482,6 @@ def is_transverse_pair(
         for k in _depth_list(sigma, simplex_depths):
             for ell in member.depths():
                 report.extend(intersection_locus(sigma, k, member, ell, opts, cells))
-        for p in report.points:
-            _attach_spanning_sv(sigma, member, p)
         svs = [p.spanning_sv for p in report.points]
         min_sv = min(svs) if svs else math.inf
         near = any(tol_rank / 10 <= s < tol_rank * 10 for s in svs)

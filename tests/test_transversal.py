@@ -1,8 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from transim import transversal
 from transim.errors import FacesNotTransverse, TrialsExhausted
 from transim.poly import PolyMap
 from transim.scenarios import (
@@ -11,9 +14,16 @@ from transim.scenarios import (
     meridian_member,
     origin_member,
     plane,
+    random_transverse_cubic,
+    shifted_longitude_arcs,
     tangent_longitude_arcs,
 )
-from transim.simplex_geom import DeltaMorphism, collapse_to_simplex
+from transim.simplex_geom import (
+    DeltaMorphism,
+    collapse_to_simplex,
+    face_for_vertices,
+    realize_morphism,
+)
 from transim.smooth_maps import SmoothSimplexMap, maps_close
 from transim.transversal import (
     CornerManifold,
@@ -74,15 +84,19 @@ def test_tangent_crossing_fails_rank_test():
     assert v.min_sv < 1e-6
 
 
-def test_parametric_member_crossing():
+def _strip_crossing():
     chart = SmoothSimplexMap.affine_from_vertices(
         np.array([[-1.0, 0.0], [1.0, 0.0]]), plane()
     )
-    member = CornerManifold.parametric("strip", chart)
-    assert member.codim_in_m == 1
     sigma = SmoothSimplexMap.affine_from_vertices(
         np.array([[0.2, -1.0], [0.2, 1.0]]), plane()
     )
+    return sigma, CornerManifold.parametric("strip", chart)
+
+
+def test_parametric_member_crossing():
+    sigma, member = _strip_crossing()
+    assert member.codim_in_m == 1
     report = intersection_locus(sigma, 0, member, 0, _OPTS)
     assert len(report.points) == 1
     p = report.points[0]
@@ -167,3 +181,99 @@ def test_member_validation():
         CornerManifold("bad", plane(), 1, "level_set", level=level)
     with pytest.raises(ValueError):
         CornerManifold("worse", plane(), 1, "mystery")
+
+
+def _reference_margin(sigma, member, p):
+    """Spanning margin of a located point, recomputed from the parent map:
+    its Jacobian at x times the face realization, and the member stratum's
+    tangent from the level-set constraints at z or from a fresh chart
+    restriction at chart coordinates recovered from y."""
+    frame = sigma.ambient.tangent_basis(p.z).basis
+    n = sigma.dim
+    face = realize_morphism(face_for_vertices(
+        n, [i for i in range(n + 1) if i not in p.simplex_vanishing]))
+    simplex_cols = frame.T @ (sigma.jacobian(p.x) @ face.matrix)
+    if member.kind == "level_set":
+        rows = [member.level.jac(p.z)] + [member.inequalities[a].jac(p.z)
+                                          for a in p.member_active]
+        constraints = np.concatenate(rows, axis=0) @ frame
+        _, sv, vh = np.linalg.svd(constraints)
+        assert sv[-1] > 1e-7
+        member_cols = vh[constraints.shape[0]:].T
+    else:
+        d = member.chart.dim
+        gamma = face_for_vertices(d, [i for i in range(d + 1) if i not in p.member_active])
+        chart_aff = realize_morphism(gamma)
+        v = np.linalg.lstsq(chart_aff.matrix, p.y - chart_aff.offset, rcond=None)[0]
+        member_cols = frame.T @ member.chart.restrict(gamma).jacobian(v)
+    cols = np.concatenate([simplex_cols, member_cols], axis=1)
+    cols = cols / np.maximum(np.linalg.norm(cols, axis=0), 1e-3)
+    m = frame.shape[1]
+    if cols.shape[1] < m:
+        return 0.0
+    return float(np.linalg.svd(cols, compute_uv=False)[m - 1])
+
+
+def _curved_patch_crossing():
+    """A segment across a curved triangular patch of the plane; the patch's
+    edge opposite vertex 0 is bent by the quadratic terms."""
+    base = SmoothSimplexMap.affine_from_vertices(
+        np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]), plane())
+    bend = PolyMap(2, 2, {(1, 1): np.array([0.3, 0.4]), (2, 0): np.array([0.0, -0.2])})
+    chart = SmoothSimplexMap.from_poly(base.poly + bend, plane())
+    sigma = SmoothSimplexMap.affine_from_vertices(
+        np.array([[-1.5, 0.1], [1.5, 0.3]]), plane())
+    return sigma, CornerManifold.parametric("patch", chart)
+
+
+def _margin_cases():
+    rng = np.random.default_rng(71)
+    origin = origin_member()
+    for _ in range(2):
+        cubic = random_transverse_cubic(rng, origin, opts=_OPTS)
+        for i in range(4):
+            yield cubic.restrict(DeltaMorphism.face(i, 3)), origin, None
+    meridian = meridian_member()
+    for arcs in (longitude_arcs(), shifted_longitude_arcs(), tangent_longitude_arcs()):
+        yield arcs[0], meridian, None
+    yield (*_strip_crossing(), None)
+    yield (*_curved_patch_crossing(), (1,))
+
+
+def test_located_margins_match_parent_map_reference():
+    located = {"level_set": 0, "parametric": 0}
+    member_depth_one = 0
+    smallest = math.inf
+    for sigma, member, member_depths in _margin_cases():
+        for k in range(sigma.dim + 1):
+            for ell in member_depths or member.depths():
+                for p in intersection_locus(sigma, k, member, ell, _OPTS).points:
+                    ref = _reference_margin(sigma, member, p)
+                    assert p.spanning_sv == pytest.approx(ref, rel=1e-12, abs=0.0)
+                    located[member.kind] += 1
+                    member_depth_one += member.kind == "parametric" and ell == 1
+                    smallest = min(smallest, ref)
+    assert located["level_set"] >= 10
+    assert member_depth_one >= 1
+    assert smallest < 1e-6  # the tangent longitude's crossing is covered
+
+
+def test_benchmark_tracer_binds_the_locus_entry_points(crossing_triangle,
+                                                      origin_collection):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("transim_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        tracer.check_bindings()
+        assert transversal.is_T_transverse(crossing_triangle, origin_collection,
+                                           opts=_OPTS).ok
+        calls = dict(zip(tracer.names, tracer.calls))
+        assert calls["transversal.intersection_locus"] > 0
+        assert calls["transversal.is_transverse_pair"] == 1
+        assert tracer.counters["transversal.intersection_locus.points"] == 1
+    finally:
+        tracer.uninstall()
+    assert not getattr(transversal.intersection_locus, "_bench_traced", False)
