@@ -22,6 +22,10 @@ class IncompatibleFaces(TransimError):
     """Boundary data disagree on a shared face beyond tolerance."""
 
 
+class NonFiniteMap(TransimError):
+    """A simplex map has a NaN or infinite coefficient."""
+
+
 class ToleranceUnreachable(TransimError):
     """A least-squares surrogate could not meet the requested sup tolerance."""
 

@@ -23,6 +23,7 @@ zero on every facet where one of its factors vanishes identically.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -277,15 +278,21 @@ class PolyMap:
     # -- comparison and serialization ---------------------------------------
 
     def max_coeff_diff(self, other: "PolyMap") -> float:
+        """Largest coefficient difference; inf if any difference is not
+        finite, so a NaN or infinite coefficient never makes maps close."""
         if (self.nvars, self.ncomp) != (other.nvars, other.ncomp):
             return float("inf")
         keys = set(self.terms) | set(other.terms)
         worst = 0.0
         zero = np.zeros(self.ncomp)
-        for k in keys:
-            a = self.terms.get(k, zero)
-            b = other.terms.get(k, zero)
-            worst = max(worst, float(np.max(np.abs(a - b))))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, then inf
+            for k in keys:
+                a = self.terms.get(k, zero)
+                b = other.terms.get(k, zero)
+                diff = float(np.max(np.abs(a - b)))
+                if not math.isfinite(diff):
+                    return float("inf")
+                worst = max(worst, diff)
         return worst
 
     def __repr__(self):  # pragma: no cover
@@ -353,9 +360,6 @@ class AffineProduct:
         others = ~np.eye(len(self.factors), dtype=bool)
         rest = np.where(others, vals[:, None, :], 1.0).prod(axis=2)
         return rest @ slopes
-
-    def grad(self, x) -> np.ndarray:
-        return self.grad_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
 
     def compose_affine(self, matrix, offset) -> "AffineProduct":
         matrix = np.asarray(matrix, dtype=float)

@@ -17,12 +17,16 @@ routines only measure evaluation noise.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corner_ext import smooth_rel_boundary
+from .errors import NonFiniteMap
+from .poly import PolyMap
 from .simplex_geom import (
     DeltaMorphism,
     barycentrics,
@@ -279,6 +283,32 @@ class DegenerateTrack(HomotopyTrack):
 
 # -- the family ---------------------------------------------------------------------
 
+_DEDUP_TOL = 1e-12
+# maps_close compares rounded differences, which may exceed the exact ones
+# by an ulp; a few ulps of slack keep every record it accepts in the window
+_DEDUP_WINDOW = _DEDUP_TOL * (1.0 + 8.0 * np.finfo(float).eps)
+
+
+def _index_key(m: SmoothSimplexMap) -> tuple:
+    """What maps_close requires to be equal before it compares coefficients."""
+    return (m.dim, m.project_flag, m.ambient.kind, m.ambient.ambient_dim)
+
+
+def _constant_key(flat: PolyMap) -> float:
+    """First component of the constant term; 0 when the term is absent."""
+    const = flat.terms.get((0,) * flat.nvars)
+    return 0.0 if const is None else float(const[0])
+
+
+_by_constant = operator.itemgetter(0)
+
+
+def _finite_flatten(m: SmoothSimplexMap) -> PolyMap:
+    flat = m.flatten()
+    if not all(np.all(np.isfinite(c)) for c in flat.terms.values()):
+        raise NonFiniteMap(f"a {m.dim}-simplex map has a non-finite coefficient")
+    return flat
+
 
 class FiniteSingularFamily:
     """A face-closed set of simplex records over a fixed collection T,
@@ -302,29 +332,54 @@ class FiniteSingularFamily:
         self.records: dict[str, SingularRecord] = {}  # in insertion order
         self.memo: dict[str, HomotopyTrack] = {}
         self._retracted: dict[str, str] = {}
+        # _index_key -> [(constant key, insertion order, record, its flatten())]
+        # sorted on the constant key
+        self._index: dict[tuple, list[tuple]] = {}
 
     # record management
 
-    def _find(self, m: SmoothSimplexMap) -> SingularRecord | None:
-        for rec in self.records.values():
-            if rec.dim == m.dim and maps_close(rec.map, m, 1e-12):
-                return rec
-        return None
+    def _find(self, m: SmoothSimplexMap, flat: PolyMap) -> SingularRecord | None:
+        """The earliest-inserted record whose map is close to m, that is
+        ``maps_close(rec.map, m, 1e-12)``; ``flat`` is ``m.flatten()``.
 
-    def _new_record(self, m: SmoothSimplexMap, faces: tuple[str, ...],
+        Records are indexed by the data ``maps_close`` compares exactly
+        (dimension, projection flag, ambient kind and dimension), and each
+        index list is sorted on the first component of the constant term.
+        Closeness bounds that component's difference too, so only the
+        records in a window around the probe's value are confirmed
+        coefficientwise.  Of those that match, the one inserted first is
+        returned: the record a scan in insertion order would find.
+        """
+        entries = self._index.get(_index_key(m), [])
+        c = _constant_key(flat)
+        lo = bisect.bisect_left(entries, c - _DEDUP_WINDOW, key=_by_constant)
+        hi = bisect.bisect_right(entries, c + _DEDUP_WINDOW, key=_by_constant)
+        matches = [(order, rec) for _, order, rec, rec_flat in entries[lo:hi]
+                   if rec_flat.max_coeff_diff(flat) <= _DEDUP_TOL]
+        return min(matches)[1] if matches else None
+
+    def _new_record(self, m: SmoothSimplexMap, flat: PolyMap, faces: tuple[str, ...],
                     status: str = STATUS_SMOOTH) -> SingularRecord:
-        rid = f"r{len(self.records)}"
+        order = len(self.records)
+        rid = f"r{order}"
         rec = SingularRecord(id=rid, dim=m.dim, map=m, status=status, faces=faces)
         self.records[rid] = rec
+        bisect.insort(self._index.setdefault(_index_key(m), []),
+                      (_constant_key(flat), order, rec, flat), key=_by_constant)
         return rec
 
     def add(self, m: SmoothSimplexMap) -> SingularRecord:
         """Register a simplex map and, recursively, all its faces.
 
-        Maps that agree coefficientwise with an existing record are
-        deduplicated, which is what makes memoization-by-id meaningful.
+        Maps that agree coefficientwise with an existing record (to 1e-12,
+        as ``maps_close`` decides) are deduplicated onto the earliest such
+        record, which is what makes memoization-by-id meaningful.  The
+        lookup bisects a keyed index instead of scanning every record; see
+        ``_find``.  A map with a non-finite coefficient raises
+        ``NonFiniteMap``, so it is never indexed.
         """
-        found = self._find(m)
+        flat = _finite_flatten(m)
+        found = self._find(m, flat)
         if found is not None:
             return found
         faces = ()
@@ -333,7 +388,7 @@ class FiniteSingularFamily:
                 self.add(m.restrict(DeltaMorphism.face(i, m.dim))).id
                 for i in range(m.dim + 1)
             )
-        return self._new_record(m, faces)
+        return self._new_record(m, flat, faces)
 
     def __iter__(self):
         return iter(self.records.values())
@@ -441,11 +496,12 @@ class FiniteSingularFamily:
         face_ids = tuple(
             self.retract(self.records[fid]).id for fid in rec.faces
         )
-        existing = self._find(track.end_map)
+        flat = _finite_flatten(track.end_map)
+        existing = self._find(track.end_map, flat)
         if existing is not None and existing.faces == face_ids:
             target = existing
         else:
-            target = self._new_record(track.end_map, face_ids)
+            target = self._new_record(track.end_map, flat, face_ids)
         target.status = STATUS_TRANSVERSE
         self._retracted[rec.id] = target.id
         self._retracted[target.id] = target.id

@@ -60,7 +60,7 @@ _STRATUM_RANK_TOL = 1e-7
 _MAX_CELLS_PER_DIM = 64  # cap of the cell escalation in is_transverse_pair
 _CLUSTER_RADIUS = 1e-6  # located points closer than this are one point
 _OPEN_TOL = 1e-9  # barycentric / inequality margin of an open stratum
-_MAX_ITERS = 30  # Gauss-Newton iterations per solve
+_MAX_ITERS = 30  # most Gauss-Newton iterations per solve
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,13 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
     maps are only guaranteed to stay inside the ambient tube there.  A
     linearization that vanishes identically (no free coordinates, as on a
     vertex against a point) gives every seed a zero step, so the loop stops.
+
+    The loop also stops at a fixed point: when a step leaves the whole
+    block unchanged bit for bit.  ``linearize`` is a pure function of the
+    iterates, so every later iteration would repeat this one, and running
+    out the iteration budget would return the same pair.  Seeds that stall
+    at a nonzero least-squares residual (a curve that misses a point) end
+    the solve here instead of at ``_MAX_ITERS``.
     """
     u = seeds.copy()
     for _ in range(_MAX_ITERS):
@@ -244,7 +251,10 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
         if np.all(norms <= opts.tau_root) or not j.any():
             return u, norms
         step = np.einsum("pij,pj->pi", np.linalg.pinv(j), r)
-        u = clip(u - step)
+        nxt = clip(u - step)
+        if nxt.tobytes() == u.tobytes():
+            return u, norms
+        u = nxt
     r, _ = linearize(u)
     return u, np.max(np.abs(r), axis=1)
 

@@ -166,12 +166,26 @@ def test_affine_product_expand_and_grad():
     assert np.allclose(dense.eval_many(pts)[:, 0], rho.eval_many(pts), atol=1e-15)
     h = 1e-6
     for x in pts[:3]:
-        g = rho.grad(x)
+        g = rho.grad_many(x[None, :])[0]
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
             fd = (rho.eval(x + e) - rho.eval(x - e)) / (2 * h)
             assert abs(g[k] - fd) < 1e-8
+
+
+def test_max_coeff_diff_is_infinite_on_non_finite_differences():
+    p = PolyMap(2, 2, {(0, 0): [1.0, 2.0], (1, 0): [0.5, 0.0]})
+    near = PolyMap(2, 2, {(0, 0): [1.0, 2.0 + 1e-9], (1, 0): [0.5, 0.0]})
+    assert p.max_coeff_diff(near) == pytest.approx(1e-9)
+    for bad in (math.nan, math.inf, -math.inf):
+        # the non-finite term is visited after a finite one, and alone
+        q = PolyMap(2, 2, {(0, 0): [1.0, 2.0], (1, 0): [0.5, bad]})
+        r = PolyMap(2, 2, {(0, 1): [bad, 0.0]})
+        assert p.max_coeff_diff(q) == math.inf
+        assert q.max_coeff_diff(p) == math.inf
+        assert q.max_coeff_diff(q) == math.inf
+        assert p.max_coeff_diff(r) == math.inf
 
 
 def test_point_block_zero_dim():

@@ -3,6 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+from transim import verify
+from transim.ambient import AmbientManifold
+from transim.errors import NonFiniteMap
 from transim.poly import PolyMap, monomial_exponents
 from transim.retraction import (
     FiniteSingularFamily,
@@ -242,3 +245,115 @@ def test_family_report_shape(edge_triangle):
     assert rec.id in ids
     assert rep["retracted"][rec.id] != rec.id
     assert any(t["record"] == rec.id for t in rep["tracks"])
+
+
+def _point(value, ambient=None, project=False):
+    ambient = ambient or plane()
+    return SmoothSimplexMap.constant(value, ambient, project=project)
+
+
+def test_add_rejects_non_finite_maps():
+    fam = _plane_family()
+    rec = fam.add(_point([0.3, 0.2]))
+    for bad in ([np.nan, 0.2], [0.3, np.inf]):
+        with pytest.raises(NonFiniteMap):
+            fam.add(_point(bad))
+    tri = SmoothSimplexMap.affine_from_vertices(
+        np.array([[0.3, 0.2], [1.0, np.nan], [0.5, 1.2]]), plane())
+    with pytest.raises(NonFiniteMap):
+        fam.add(tri)
+    assert [r.id for r in fam] == [rec.id]
+
+
+def test_dedup_window_edge_agrees_with_maps_close():
+    tol = 1e-12
+    for c in (0.0, 0.5, -0.37, 3.0e-13, 1e3):
+        # record at c, probes at exactly tol from it where representable,
+        # and one ulp further out on both sides
+        for sign in (1.0, -1.0):
+            edge = c + sign * tol
+            for probe in (edge, np.nextafter(edge, c), np.nextafter(edge, sign * np.inf)):
+                fam = _plane_family()
+                rec = fam.add(_point([c, 0.1]))
+                target = _point([probe, 0.1])
+                close = maps_close(rec.map, target, tol)
+                got = fam.add(target)
+                assert (got is rec) == close, (c, probe)
+    fam = _plane_family()
+    rec = fam.add(_point([0.0, 0.1]))
+    assert fam.add(_point([tol, 0.1])) is rec
+    assert fam.add(_point([np.nextafter(tol, 1.0), 0.1])) is not rec
+    assert fam.add(_point([-tol, 0.1])) is rec
+    assert fam.add(_point([np.nextafter(-tol, -1.0), 0.1])) is not rec
+
+
+def test_dedup_returns_the_earliest_inserted_match():
+    for first, second in ((1.5e-12, 0.0), (0.0, 1.5e-12)):
+        fam = _plane_family()
+        a = fam.add(_point([first, 0.1]))
+        b = fam.add(_point([second, 0.1]))
+        assert a is not b
+        assert fam.add(_point([0.75e-12, 0.1])) is a
+    # the window holds the constant term only: a match there must still
+    # agree in every other coefficient
+    fam = _plane_family()
+    seg = SmoothSimplexMap.affine_from_vertices(np.array([[0.0, 0.0], [1.0, 0.0]]), plane())
+    other = SmoothSimplexMap.affine_from_vertices(np.array([[0.0, 0.0], [1.0, 1e-9]]), plane())
+    assert fam.add(seg) is not fam.add(other)
+
+
+def test_dedup_keys_on_dim_projection_and_ambient():
+    fam = _plane_family()
+    point = fam.add(_point([0.2, 0.4]))
+    projected = fam.add(_point([0.2, 0.4], project=True))
+    assert projected is not point
+    seg = fam.add(SmoothSimplexMap.constant([0.2, 0.4], plane(), dim=1))
+    assert seg is not point
+    assert seg.faces == (point.id, point.id)
+    on_sphere = fam.add(_point([0.0, 0.0, 1.0], AmbientManifold.sphere(3)))
+    in_space = fam.add(_point([0.0, 0.0, 1.0], AmbientManifold.euclidean(3)))
+    assert on_sphere is not in_space
+    assert fam.add(_point([0.0, 0.0, 1.0], AmbientManifold.euclidean(3))) is in_space
+    assert fam.add(_point([0.2, 0.4], project=True)) is projected
+
+
+def _linear_scan(fam, m):
+    """Record lookup as a scan in insertion order, the definition the keyed
+    index must reproduce."""
+    for rec in fam.records.values():
+        if rec.dim == m.dim and maps_close(rec.map, m, 1e-12):
+            return rec
+    return None
+
+
+def test_keyed_index_matches_a_linear_scan(monkeypatch):
+    built = []
+
+    class Indexed(FiniteSingularFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def _find(self, m, flat):
+            found = super()._find(m, flat)
+            assert found is _linear_scan(self, m)
+            return found
+
+    class Scanned(FiniteSingularFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def _find(self, m, flat):
+            return _linear_scan(self, m)
+
+    for seed in range(3):
+        results = []
+        for cls in (Indexed, Scanned):
+            built.clear()
+            monkeypatch.setattr(verify, "FiniteSingularFamily", cls)
+            res = verify.check_retraction_identities(seed)
+            (fam,) = built
+            results.append((res.ok, list(fam.records), fam.report()))
+        assert results[0][0]
+        assert results[0] == results[1]

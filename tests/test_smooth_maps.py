@@ -132,6 +132,16 @@ def test_maps_close_detects_mismatch(r2):
     assert not maps_close(f, g, tol=1e-8)
 
 
+def test_maps_close_rejects_non_finite_coefficients(r2):
+    rng = np.random.default_rng(40)
+    f = _random_map(rng, 2, r2)
+    for bad in (np.nan, np.inf):
+        g = SmoothSimplexMap.from_poly(f.poly + PolyMap.constant([bad, 0.0], 2), r2)
+        assert not maps_close(f, g)
+        assert not maps_close(g, f)
+        assert not maps_close(g, g, tol=1e300)
+
+
 def test_arity_mismatch_rejected(r2):
     poly = PolyMap.affine(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):

@@ -277,3 +277,63 @@ def test_benchmark_tracer_binds_the_locus_entry_points(crossing_triangle,
     finally:
         tracer.uninstall()
     assert not getattr(transversal.intersection_locus, "_bench_traced", False)
+
+
+def _fixed_budget_newton(linearize, seeds, opts, clip=collapse_to_simplex):
+    """Gauss-Newton without the fixed-point exit: it runs out the iteration
+    budget unless the block converges or its linearization vanishes."""
+    u = seeds.copy()
+    for _ in range(transversal._MAX_ITERS):
+        r, j = linearize(u)
+        norms = np.max(np.abs(r), axis=1)
+        if np.all(norms <= opts.tau_root) or not j.any():
+            return u, norms
+        step = np.einsum("pij,pj->pi", np.linalg.pinv(j), r)
+        u = clip(u - step)
+    r, _ = linearize(u)
+    return u, np.max(np.abs(r), axis=1)
+
+
+def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(72)
+    origin = origin_member()
+    cubics = [random_transverse_cubic(rng, origin, opts=_OPTS) for _ in range(2)]
+    meridian = meridian_member()
+    cases = [(c, origin, LocusOptions(cells_per_dim=cells))
+             for c in cubics for cells in (8, 16)]
+    cases += [(arcs[0], meridian, _OPTS)
+              for arcs in (longitude_arcs(), tangent_longitude_arcs())]
+    sigma, strip = _strip_crossing()
+    cases.append((sigma, strip, _OPTS))
+
+    exit_newton = transversal._batched_newton
+    calls = {}  # (member, seed columns) -> [with exit, fixed budget]
+
+    def both(linearize, seeds, opts, clip=collapse_to_simplex):
+        counts = [0, 0]
+
+        def counting(slot):
+            def lin(u):
+                counts[slot] += 1
+                return linearize(u)
+            return lin
+
+        got = exit_newton(counting(0), seeds, opts, clip)
+        ref = _fixed_budget_newton(counting(1), seeds, opts, clip)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        assert counts[0] <= counts[1]
+        tally = calls.setdefault((member.name, seeds.shape[1]), [0, 0])
+        tally[0] += counts[0]
+        tally[1] += counts[1]
+        return got
+
+    monkeypatch.setattr(transversal, "_batched_newton", both)
+    for sigma, member, opts in cases:
+        for k in range(sigma.dim + 1):
+            for ell in member.depths():
+                intersection_locus(sigma, k, member, ell, opts)
+    assert {"origin", "meridian", "strip"} <= {name for name, _ in calls}
+    # the edges of a cubic miss the origin, and their solves stall early
+    edge_exit, edge_budget = calls[("origin", 1)]
+    assert edge_exit < edge_budget
