@@ -7,107 +7,4 @@ smoothing, tube perturbation), and evaluates intersection-number cochains
 on the result.
 """
 
-from . import errors
-from .ambient import AmbientManifold, TangentFrame
-from .cochain import (
-    Chain,
-    CoorientedMember,
-    boundary,
-    cocycle_check,
-    export_signs_csv,
-    iota_W,
-    iota_W_chain,
-    pullback_evaluate,
-    winding_number,
-)
-from .corner_ext import (
-    CornerData,
-    check_compatibility,
-    extend_from_corner,
-    smooth_rel_boundary,
-    verify_restriction_identity,
-)
-from .poly import AffineProduct, PolyMap, monomial_exponents
-from .retraction import (
-    FiniteSingularFamily,
-    HomotopyTrack,
-    SingularRecord,
-    export_track_csv,
-    homotopy_H,
-    nondeg_factorize,
-    verify_naturality,
-)
-from .simplex_geom import (
-    AffineMap,
-    DeltaMorphism,
-    SimplexDomain,
-    barycentrics,
-    realize_morphism,
-    simplex_grid,
-)
-from .smooth_maps import Bump, SmoothSimplexMap, maps_close
-from .transversal import (
-    CornerManifold,
-    IntersectionPoint,
-    IntersectionReport,
-    LocusOptions,
-    PerturbationResult,
-    TCollection,
-    TransversalityResult,
-    intersection_locus,
-    is_T_transverse,
-    is_transverse_pair,
-    perturb_to_transverse,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "errors",
-    "AmbientManifold",
-    "TangentFrame",
-    "Chain",
-    "CoorientedMember",
-    "boundary",
-    "cocycle_check",
-    "export_signs_csv",
-    "iota_W",
-    "iota_W_chain",
-    "pullback_evaluate",
-    "winding_number",
-    "CornerData",
-    "check_compatibility",
-    "extend_from_corner",
-    "smooth_rel_boundary",
-    "verify_restriction_identity",
-    "AffineProduct",
-    "PolyMap",
-    "monomial_exponents",
-    "FiniteSingularFamily",
-    "HomotopyTrack",
-    "SingularRecord",
-    "export_track_csv",
-    "homotopy_H",
-    "nondeg_factorize",
-    "verify_naturality",
-    "AffineMap",
-    "DeltaMorphism",
-    "SimplexDomain",
-    "barycentrics",
-    "realize_morphism",
-    "simplex_grid",
-    "Bump",
-    "SmoothSimplexMap",
-    "maps_close",
-    "CornerManifold",
-    "IntersectionPoint",
-    "IntersectionReport",
-    "LocusOptions",
-    "PerturbationResult",
-    "TCollection",
-    "TransversalityResult",
-    "intersection_locus",
-    "is_T_transverse",
-    "is_transverse_pair",
-    "perturb_to_transverse",
-]

@@ -125,22 +125,35 @@ def _schema_path() -> str:
     return os.path.join(os.path.dirname(__file__), "configs", "scenario.schema.json")
 
 
-def load_config(path: str) -> dict:
-    """Parse and schema-validate a config file; SchemaError on any defect."""
+def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
+
+
+def _validate_config(cfg: dict) -> dict:
+    """Reject non-finite numbers (json.load accepts NaN and Infinity, and the
+    schema's bounds do not catch NaN), then schema-validate."""
+    try:
+        json.dumps(cfg, allow_nan=False)
+    except ValueError as exc:
+        raise SchemaError(f"config holds NaN or Infinity: {exc}") from exc
     with open(_schema_path()) as fh:
         schema = json.load(fh)
     try:
-        jsonschema.validate(raw, schema)
+        jsonschema.validate(cfg, schema)
     except jsonschema.ValidationError as exc:
-        raise SchemaError(f"config rejected by schema: {exc.message}") from exc
-    return raw
+        raise SchemaError(f"config rejected by schema at {exc.json_path}: {exc.message}") from exc
+    return cfg
+
+
+def load_config(path: str) -> dict:
+    """Parse and validate a config file; SchemaError on any defect."""
+    return _validate_config(_read_config(path))
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -487,15 +500,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _read_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise SchemaError("--seed must be a nonnegative integer")
             cfg["seed"] = args.seed
         if args.tol_rank is not None:
             cfg.setdefault("tolerances", {})["tol_rank"] = args.tol_rank
         if args.max_trials is not None:
             cfg["max_trials"] = args.max_trials
+        _validate_config(cfg)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,7 +132,7 @@ def _oriented_orthonormal(cols: np.ndarray) -> np.ndarray:
 def _point_sign(w: CoorientedMember, sigma: SmoothSimplexMap,
                 p: IntersectionPoint) -> int:
     ambient = sigma.ambient
-    frame = ambient.tangent_basis(p.z).basis
+    frame = ambient.tangent_basis(p.z)
     co = frame.T @ w.member.coorientation_frame(p.z)
     push = frame.T @ sigma.jacobian(p.x)
     a = _oriented_orthonormal(co).T @ push
@@ -240,11 +240,8 @@ _SAMPLES_PER_EDGE = 200  # initial polyline density of each boundary edge
 _MAX_REFINEMENTS = 6  # density doublings before the oracle gives up
 
 
-def winding_number(
-    sigma: SmoothSimplexMap,
-    center: np.ndarray | None = None,
-) -> int:
-    """Winding of the boundary loop of a planar 2-simplex around a point.
+def winding_number(sigma: SmoothSimplexMap) -> int:
+    """Winding of the boundary loop of a planar 2-simplex around the origin.
 
     Angle accumulation along sampled edge polylines; the sampling density
     doubles until no step turns by more than pi/2, so the accumulated total
@@ -252,7 +249,6 @@ def winding_number(
     """
     if sigma.dim != 2 or sigma.ambient.ambient_dim != 2:
         raise ValueError("winding oracle works on planar 2-simplices")
-    z0 = np.zeros(2) if center is None else np.asarray(center, dtype=float)
     for attempt in range(_MAX_REFINEMENTS):
         density = _SAMPLES_PER_EDGE * (2 ** attempt)
         total = 0.0
@@ -262,10 +258,10 @@ def winding_number(
         for leg, edge_index in enumerate(_EDGE_PATH):
             edge = sigma.restrict(DeltaMorphism.face(edge_index, 2))
             params = ts if leg != 2 else ts[::-1]
-            pts = edge.eval_many(params[:, None]) - z0
+            pts = edge.eval_many(params[:, None])
             radii = np.linalg.norm(pts, axis=1)
             if np.min(radii) < 1e-12:
-                raise NotTransverse("boundary loop passes through the center")
+                raise NotTransverse("boundary loop passes through the origin")
             angles = np.arctan2(pts[:, 1], pts[:, 0])
             start = 0 if prev_angle is None else 1
             if prev_angle is not None:

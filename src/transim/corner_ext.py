@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _DEGREE_CAP = 6
+_COMPAT_TOL = 1e-9  # facet data may disagree this much at a shared lattice node
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,7 @@ def _bernstein_basis(n: int, order: int) -> list[PolyMap]:
     return basis
 
 
-def _boundary_interpolant(
-    piecewise: PiecewiseMap, order: int, compat_tol: float = 1e-9
-) -> tuple[PolyMap, float]:
+def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> tuple[PolyMap, float]:
     """Polynomial with the prescribed facet restrictions.
 
     Solved on the principal lattice: boundary nodes carry the facet raw data,
@@ -195,7 +194,7 @@ def _boundary_interpolant(
             for other in zero_walls[1:]:
                 kept_o = np.delete(m, other).astype(float) / order
                 val_o = facet_raw[other].eval(kept_o[1:])
-                if float(np.max(np.abs(val - val_o))) > compat_tol:
+                if float(np.max(np.abs(val - val_o))) > _COMPAT_TOL:
                     raise IncompatibleFaces(
                         "facet data disagree at a shared lattice node"
                     )
@@ -222,7 +221,6 @@ _GRID_ORDER = {1: 64, 2: 24, 3: 12}
 def smooth_rel_boundary(
     sigma: SmoothSimplexMap | PiecewiseMap,
     tol: float,
-    degree_cap: int = _DEGREE_CAP,
 ) -> tuple[SmoothSimplexMap, dict]:
     """Single polynomial map matching sigma's facets and sup-close to sigma.
 
@@ -243,14 +241,14 @@ def smooth_rel_boundary(
         raise IncompatibleFaces("facet maps disagree on the projection flag")
     project_flag = flags.pop()
 
-    interp, facet_err = _boundary_interpolant(sigma, degree_cap)
+    interp, facet_err = _boundary_interpolant(sigma, _DEGREE_CAP)
 
     rho = AffineProduct.barycentric(n)
     grid, _ = principal_lattice(n, _GRID_ORDER.get(n, 8))
     target = np.array([sigma.eval(x) for x in grid])
     resid = target - interp.eval_many(grid)
 
-    qdeg = degree_cap - (n + 1)
+    qdeg = _DEGREE_CAP - (n + 1)
     correction = PolyMap.zero(n, ambient.ambient_dim)
     if qdeg >= 0:
         exps = monomial_exponents(n, qdeg)
@@ -278,13 +276,13 @@ def smooth_rel_boundary(
         worst_offset = 0.0
         for v in raw:
             worst_offset = max(worst_offset, ambient.distance(v))
-        if worst_offset >= ambient.epsilon():
+        if worst_offset >= ambient.tube_radius:
             raise OutOfTube("smoothed surrogate leaves the tubular neighborhood")
 
     fitted = candidate.eval_many(grid)
     actual = target
     if project_flag:
-        actual = np.array([ambient.project(v) if not ambient.contains(v, 1e-9) else v for v in target])
+        actual = np.array([v if ambient.contains(v) else ambient.project(v) for v in target])
     sup_err = float(np.max(np.linalg.norm(fitted - actual, axis=1)))
     if sup_err > tol:
         raise ToleranceUnreachable(
@@ -294,6 +292,6 @@ def smooth_rel_boundary(
         "sup_error": sup_err,
         "facet_error": float(facet_err),
         "already_polynomial": False,
-        "interpolation_degree": degree_cap,
+        "interpolation_degree": _DEGREE_CAP,
         "correction_degree": max(qdeg, -1),
     }

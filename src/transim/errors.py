@@ -46,10 +46,5 @@ class NearSingularSign(TransimError):
     """An intersection sign determinant fell below the trust threshold."""
 
 
-class FacesNotTransverse(TransimError):
-    """A perturbation was requested for a simplex whose faces are not yet
-    transverse; retract the faces first."""
-
-
 class SchemaError(TransimError):
     """A scenario configuration failed validation."""

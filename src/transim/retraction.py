@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,10 @@ __all__ = [
 STATUS_SMOOTH = "smooth"
 STATUS_TRANSVERSE = "transverse"
 
+_DEGENERATE_TOL = 1e-13  # coefficient tolerance of the collapse round trip
+_NATURALITY_TIMES, _NATURALITY_GRID = 9, 5  # samples of verify_naturality
+_CSV_TIMES, _CSV_GRID = 11, 6  # samples of export_track_csv
+
 
 @dataclass
 class SingularRecord:
@@ -69,7 +73,7 @@ class SingularRecord:
 # -- factorization ------------------------------------------------------------------
 
 
-def _degenerate_at(m: SmoothSimplexMap, j: int, tol: float = 1e-13) -> bool:
+def _degenerate_at(m: SmoothSimplexMap, j: int) -> bool:
     """True if m factors through the collapse s_j.
 
     The test composes the j-th face with the j-th degeneracy and compares
@@ -79,7 +83,7 @@ def _degenerate_at(m: SmoothSimplexMap, j: int, tol: float = 1e-13) -> bool:
     n = m.dim
     face = m.restrict(DeltaMorphism.face(j, n))
     round_trip = face.restrict(DeltaMorphism.degeneracy(j, n))
-    return maps_close(m, round_trip, tol)
+    return maps_close(m, round_trip, _DEGENERATE_TOL)
 
 
 def nondeg_factorize(m: SmoothSimplexMap) -> tuple[DeltaMorphism, SmoothSimplexMap]:
@@ -136,7 +140,6 @@ class SmoothingStage(Stage):
 
     start: object = None
     end: SmoothSimplexMap = None
-    info: dict = field(default_factory=dict)
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
         tau = self.local(t)
@@ -153,9 +156,7 @@ class PerturbStage(Stage):
     """Bump amplitude ramp t -> F(., t s); rel boundary since the bump
     profile vanishes there."""
 
-    start: SmoothSimplexMap = None
     end: SmoothSimplexMap = None
-    info: dict = field(default_factory=dict)
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
         tau = self.local(t)
@@ -430,10 +431,7 @@ class FiniteSingularFamily:
                 max_trials=self.max_trials, tol_rank=self.tol_rank, opts=self.opts,
             )
             stages = (
-                PerturbStage(0.0, 0.5, "transversality",
-                             start=rec.map, end=result.sigma_prime,
-                             info={"trials_used": result.trials_used,
-                                   "min_sv": result.min_sv}),
+                PerturbStage(0.0, 0.5, "transversality", end=result.sigma_prime),
                 ConstantStage(0.5, 1.0, "constant", map=result.sigma_prime),
             )
             return HomotopyTrack(0, stages, result.sigma_prime, rec.id, constant=False)
@@ -457,8 +455,7 @@ class FiniteSingularFamily:
         if info.get("already_polynomial"):
             stage_b: Stage = ConstantStage(t_a, mid, "smoothing", map=smoothed)
         else:
-            stage_b = SmoothingStage(t_a, mid, "smoothing",
-                                     start=slice_map, end=smoothed, info=info)
+            stage_b = SmoothingStage(t_a, mid, "smoothing", start=slice_map, end=smoothed)
 
         interior = is_T_transverse(smoothed, self.members, self.tol_rank,
                                    simplex_depths=(0,), opts=self.opts)
@@ -471,10 +468,7 @@ class FiniteSingularFamily:
                 max_trials=self.max_trials, tol_rank=self.tol_rank, opts=self.opts,
             )
             final = result.sigma_prime
-            stage_c = PerturbStage(mid, t_b, "transversality",
-                                   start=smoothed, end=final,
-                                   info={"trials_used": result.trials_used,
-                                         "min_sv": result.min_sv})
+            stage_c = PerturbStage(mid, t_b, "transversality", end=final)
 
         stages = (stage_a, stage_b, stage_c,
                   ConstantStage(t_b, 1.0, "constant", map=final))
@@ -574,8 +568,6 @@ def verify_naturality(
     rec: SingularRecord,
     beta: DeltaMorphism,
     alpha: DeltaMorphism | None = None,
-    time_samples: int = 9,
-    grid: int = 5,
 ) -> float:
     """Max deviation between h_{sigma o |beta|} and h_sigma o (id x |beta|),
     plus the corresponding square for H when alpha is supplied."""
@@ -585,9 +577,9 @@ def verify_naturality(
     track_parent = fam.track(rec)
     track_child = fam.track(restricted)
     aff = realize_morphism(beta)
-    pts = simplex_grid(beta.source, grid)
+    pts = simplex_grid(beta.source, _NATURALITY_GRID)
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, time_samples):
+    for t in np.linspace(0.0, 1.0, _NATURALITY_TIMES):
         for w in pts:
             lhs = track_child.eval(float(t), w)
             rhs = track_parent.eval(float(t), aff.apply(w))
@@ -602,10 +594,9 @@ def verify_naturality(
     return worst
 
 
-def export_track_csv(track: HomotopyTrack, path: str,
-                     time_samples: int = 11, grid: int = 6) -> None:
+def export_track_csv(track: HomotopyTrack, path: str) -> None:
     """Dense (t, x, value) slices of one track for external plotting."""
-    pts = simplex_grid(track.dim, grid)
+    pts = simplex_grid(track.dim, _CSV_GRID)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = track.dim
@@ -613,7 +604,7 @@ def export_track_csv(track: HomotopyTrack, path: str,
         writer.writerow(
             ["t"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(ncomp)]
         )
-        for t in np.linspace(0.0, 1.0, time_samples):
+        for t in np.linspace(0.0, 1.0, _CSV_TIMES):
             for x in pts:
                 v = track.eval(float(t), x)
                 writer.writerow([f"{t:.12g}"]

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 TORUS_RADIUS = 1.0 / math.sqrt(2.0)
+_SHIFT_ANGLE = 0.35  # rotation of the shifted longitude in the first factor
+_CUBIC_ATTEMPTS = 60  # draws before random_transverse_cubic gives up
 
 
 def plane() -> AmbientManifold:
@@ -179,11 +181,11 @@ def _rotate_plane_factor(m: SmoothSimplexMap, phi: float) -> SmoothSimplexMap:
     return SmoothSimplexMap.from_poly(poly, m.ambient, project=True)
 
 
-def shifted_longitude_arcs(phi: float = 0.35) -> tuple[SmoothSimplexMap, SmoothSimplexMap]:
+def shifted_longitude_arcs() -> tuple[SmoothSimplexMap, SmoothSimplexMap]:
     """A homologous longitude representative: the same cycle rotated in the
     first factor, still crossing the meridian exactly once."""
     right, left = longitude_arcs()
-    return _rotate_plane_factor(right, phi), _rotate_plane_factor(left, phi)
+    return _rotate_plane_factor(right, _SHIFT_ANGLE), _rotate_plane_factor(left, _SHIFT_ANGLE)
 
 
 def meridian_arcs() -> tuple[SmoothSimplexMap, SmoothSimplexMap]:
@@ -219,13 +221,12 @@ def random_transverse_cubic(
     member: CornerManifold,
     tol_rank: float = 1e-6,
     opts: LocusOptions = LocusOptions(),
-    max_attempts: int = 60,
 ) -> SmoothSimplexMap:
     """Random cubic 3-simplex in the plane, rejected until stratumwise
     transverse to the member.  Rejection is rare: the bad set has measure
     zero and the filter mostly guards against near misses."""
     members = TCollection.of(member)
-    for _ in range(max_attempts):
+    for _ in range(_CUBIC_ATTEMPTS):
         verts = rng.uniform(-1.4, 1.4, size=(4, 2))
         sigma = SmoothSimplexMap.affine_from_vertices(verts, plane())
         poly = sigma.poly

@@ -25,7 +25,6 @@ __all__ = [
     "realize_morphism",
     "barycentrics",
     "barycentrics_many",
-    "stratum_of",
     "collapse_to_simplex",
     "face_for_vertices",
     "facet_coordinates",
@@ -153,12 +152,6 @@ def realize_morphism(beta: DeltaMorphism) -> AffineMap:
     for k in range(1, src + 1):
         matrix[:, k - 1] = verts[beta.values[k]] - offset
     return AffineMap(matrix, offset)
-
-
-def stratum_of(n: int, x, tol: float = 1e-9) -> int:
-    """Number of barycentric coordinates of x that vanish within tol."""
-    lam = barycentrics(n, x)
-    return int(np.sum(np.abs(lam) <= tol))
 
 
 def collapse_to_simplex(pts: np.ndarray) -> np.ndarray:

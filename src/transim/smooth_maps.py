@@ -28,6 +28,8 @@ from .simplex_geom import DeltaMorphism, SimplexDomain, realize_morphism
 
 __all__ = ["Bump", "SmoothSimplexMap", "PiecewiseMap", "maps_close"]
 
+_OFFSET_SAMPLES = 400  # domain sample of max_raw_offset
+
 
 @dataclass(frozen=True)
 class Bump:
@@ -199,30 +201,14 @@ class SmoothSimplexMap:
 
     # -- checks ------------------------------------------------------------------------
 
-    def max_raw_offset(self, samples: int = 400, rng=None) -> float:
+    def max_raw_offset(self) -> float:
         """Largest distance from raw values to their projections on a sample."""
         if not self.project_flag:
             return 0.0
-        rng = rng or np.random.default_rng(0)
-        pts = self.domain.random_points(rng, samples)
+        pts = self.domain.random_points(np.random.default_rng(0), _OFFSET_SAMPLES)
         raw = self.raw_many(pts)
         proj = self.ambient.project_many(raw)
         return float(np.max(np.linalg.norm(raw - proj, axis=1))) if len(pts) else 0.0
-
-    def check_image(self, samples: int = 1000, tol: float = 1e-8, seed: int = 0) -> float:
-        """Verify values lie on M (and raw values in the tube when projected).
-
-        Returns the worst distance seen; raises nothing, callers assert.
-        """
-        rng = np.random.default_rng(seed)
-        pts = self.domain.random_points(rng, samples)
-        if self.dim == 0:
-            pts = np.zeros((1, 0))
-        vals = self.eval_many(pts)
-        worst = 0.0
-        for v in vals:
-            worst = max(worst, self.ambient.distance(v))
-        return worst
 
 
 @runtime_checkable

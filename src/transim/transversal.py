@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import AmbientManifold
-from .errors import FacesNotTransverse, OutOfTube, RankDrop, TrialsExhausted
+from .errors import OutOfTube, RankDrop, TrialsExhausted
 from .poly import PolyMap
 from .simplex_geom import (
-    DeltaMorphism,
     barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
@@ -403,7 +402,7 @@ def _solve_descriptor_pair(
     else:
         member_jacs = chart_f.jacobian_many(kept_sols[:, split:])
     for p, js, jm in zip(report.points, simplex_jacs, member_jacs):
-        frame = sigma.ambient.tangent_basis(p.z).basis
+        frame = sigma.ambient.tangent_basis(p.z)
         if member.kind == LEVEL_SET:
             member_cols = _level_set_tangent(member, jm @ frame, p.z)
         else:
@@ -553,7 +552,6 @@ def perturb_to_transverse(
     max_trials: int = 32,
     tol_rank: float = 1e-6,
     opts: LocusOptions = LocusOptions(),
-    require_transverse_faces: bool = False,
 ) -> PerturbationResult:
     """Rel-boundary perturbation into T-transverse position.
 
@@ -564,13 +562,7 @@ def perturb_to_transverse(
     member stratum; boundary strata are untouched by construction, so face
     transversality (the lemma hypothesis) is preserved verbatim.
     """
-    if require_transverse_faces and sigma.dim > 0:
-        for i in range(sigma.dim + 1):
-            face = sigma.restrict(DeltaMorphism.face(i, sigma.dim))
-            if not is_T_transverse(face, members, tol_rank, None, opts).ok:
-                raise FacesNotTransverse(f"face {i} is not T-transverse")
-
-    eps = sigma.ambient.epsilon()
+    eps = sigma.ambient.tube_radius
     if sigma.project_flag:
         headroom = eps - sigma.max_raw_offset()
         amplitude = min(0.9 * headroom, 0.15 * eps)

@@ -3,21 +3,6 @@ import pytest
 
 from transim.ambient import AmbientManifold
 from transim.errors import OutOfTube
-from transim.poly import PolyMap
-
-
-def _sphere_poly():
-    # |z|^2 - 1 = 0 in R^3
-    return PolyMap(
-        3,
-        1,
-        {
-            (2, 0, 0): (1.0,),
-            (0, 2, 0): (1.0,),
-            (0, 0, 2): (1.0,),
-            (0, 0, 0): (-1.0,),
-        },
-    )
 
 
 def _tube_points(ambient, rng, count):
@@ -88,8 +73,7 @@ def test_tangent_frames_orthonormal_and_tangent(ambient):
     rng = np.random.default_rng(23)
     pts = _surface_points(ambient, rng, 10)
     for z in pts:
-        frame = ambient.tangent_basis(z)
-        b = frame.basis
+        b = ambient.tangent_basis(z)
         assert b.shape == (ambient.ambient_dim, ambient.intrinsic_dim)
         assert np.allclose(b.T @ b, np.eye(ambient.intrinsic_dim), atol=1e-12)
         # directional derivative of the distance function vanishes along T_z M
@@ -120,28 +104,13 @@ def test_projection_jacobian_restricts_to_identity_on_tangent():
     rng = np.random.default_rng(25)
     for z in _surface_points(ambient, rng, 6):
         jac = ambient.project_jacobian_many(z[None, :])[0]
-        b = ambient.tangent_basis(z).basis
+        b = ambient.tangent_basis(z)
         assert np.allclose(jac @ b, b, atol=1e-10)
 
 
-def test_level_set_matches_sphere():
-    level = AmbientManifold.level_set(_sphere_poly(), eps_lower=0.4)
-    sphere = AmbientManifold.sphere(3)
-    assert level.intrinsic_dim == 2
-    rng = np.random.default_rng(26)
-    _, tube = _tube_points(sphere, rng, 8)
-    for z in tube:
-        assert np.allclose(level.project(z), sphere.project(z), atol=1e-9)
-    on = sphere.project(tube[0])
-    bl = level.tangent_basis(on).basis
-    assert np.allclose(bl.T @ bl, np.eye(2), atol=1e-12)
-    assert np.max(np.abs(bl.T @ on)) < 1e-9
-
-
-def test_level_set_respects_declared_tube():
-    level = AmbientManifold.level_set(_sphere_poly(), eps_lower=0.05)
-    with pytest.raises(OutOfTube):
-        level.project([1.2, 0.0, 0.0])
+def test_unknown_kind_is_rejected():
+    with pytest.raises(ValueError, match="level_set"):
+        AmbientManifold("level_set", 3, 2, 0.4)
 
 
 def test_distance_agrees_with_projection():
@@ -155,4 +124,4 @@ def test_distance_agrees_with_projection():
 def test_sphere_frame_at_pole_keeps_coordinate_axes():
     s = AmbientManifold.sphere(3)
     frame = s.tangent_basis([0.0, 0.0, 1.0])
-    assert np.allclose(np.abs(frame.basis), np.eye(3)[:, :2], atol=1e-12)
+    assert np.allclose(np.abs(frame), np.eye(3)[:, :2], atol=1e-12)

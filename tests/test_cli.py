@@ -103,6 +103,26 @@ def test_negative_seed_rejected(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, tol_rank", [
+    (["--tol-rank", "-1"], None),
+    (["--tol-rank", "nan"], None),
+    (["--max-trials", "-3"], None),
+    ([], float("nan")),
+], ids=["negative-tol-rank", "nan-tol-rank", "negative-max-trials", "nan-in-file"])
+def test_invalid_merged_config_is_rejected(tmp_path, capsys, flags, tol_rank):
+    config = _bundled("empty_t.json")
+    if tol_rank is not None:
+        with open(config) as fh:
+            cfg = json.load(fh)
+        cfg.setdefault("tolerances", {})["tol_rank"] = tol_rank
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))  # writes the bare NaN token
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", str(config), "--out", str(out)] + flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_t_scenario_runs(tmp_path):
     out = tmp_path / "report.json"
     csv_dir = tmp_path / "tracks"

@@ -29,6 +29,7 @@ from transim.scenarios import (
 )
 from transim.smooth_maps import SmoothSimplexMap
 from transim.transversal import CornerManifold, LocusOptions, TCollection
+from transim import verify
 from transim.verify import check_cocycle_zero
 
 _OPTS = LocusOptions(cells_per_dim=12)
@@ -180,3 +181,11 @@ def test_export_signs_csv(tmp_path, crossing_triangle):
     assert rows[0][0] == "member"
     assert len(rows) == 1 + len(verdict.report.points)
     assert rows[1][0] == "origin"
+
+
+def test_torus_duality_reports_an_open_chain(monkeypatch):
+    # a boundary that never vanishes must fail the check, not raise
+    monkeypatch.setattr(verify, "boundary", lambda chain, fam: chain)
+    res = verify.check_torus_duality(seed=7)
+    assert res.ok is False
+    assert res.details["longitude"] == 1

@@ -223,12 +223,12 @@ def test_export_track_csv(tmp_path, edge_triangle):
     rec = fam.add(edge_triangle)
     track = fam.track(rec)
     path = tmp_path / "track.csv"
-    export_track_csv(track, str(path), time_samples=3, grid=3)
+    export_track_csv(track, str(path))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x0", "x1", "v0", "v1"]
-    npts = len(simplex_grid(2, 3))
-    assert len(rows) == 1 + 3 * npts
+    npts = len(simplex_grid(2, 6))  # 11 times on the order-5 lattice
+    assert len(rows) == 1 + 11 * npts
     first = rows[1]
     x = np.array([float(first[1]), float(first[2])])
     v = np.array([float(first[3]), float(first[4])])

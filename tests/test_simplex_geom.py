@@ -14,7 +14,6 @@ from transim.simplex_geom import (
     principal_lattice,
     realize_morphism,
     simplex_grid,
-    stratum_of,
 )
 
 
@@ -97,12 +96,6 @@ def test_barycentrics_sum_to_one():
             lam = barycentrics(n, x)
             assert abs(lam.sum() - 1.0) < 1e-12
             assert np.all(lam >= -1e-12)
-
-
-def test_stratum_of_counts_vanishing():
-    assert stratum_of(2, [0.0, 0.0]) == 2
-    assert stratum_of(2, [0.5, 0.5]) == 1
-    assert stratum_of(2, [0.25, 0.25]) == 0
 
 
 def test_collapse_is_identity_inside():
