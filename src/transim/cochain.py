@@ -144,12 +144,6 @@ def _point_sign(w: CoorientedMember, sigma: SmoothSimplexMap,
     return 1 if det > 0 else -1
 
 
-def _as_map(rec_or_map) -> SmoothSimplexMap:
-    if isinstance(rec_or_map, SingularRecord):
-        return rec_or_map.map
-    return rec_or_map
-
-
 def iota_W(
     w: CoorientedMember,
     rec_or_map,
@@ -162,8 +156,27 @@ def iota_W(
     Transversality of the simplex and all its faces is checked first; in
     complementary dimension it forces every facet locus to be empty, which
     is asserted rather than assumed.
+
+    A record keeps its count for each (w, tol_rank, opts), so a face counted
+    again, as the boundary of a second simplex or in a second pass over the
+    same boundary, is looked up rather than solved again.  The count is a
+    deterministic function of the record's map, so the lookup returns what
+    the solve would.
     """
-    sigma = _as_map(rec_or_map)
+    if not isinstance(rec_or_map, SingularRecord):
+        return _signed_count(w, rec_or_map, tol_rank, opts)
+    # keyed on w's identity (its member is not hashable); the stored w keeps
+    # that identity from being reused
+    key = (id(w), tol_rank, opts)
+    known = rec_or_map.counts.get(key)
+    if known is None or known[0] is not w:
+        known = (w, _signed_count(w, rec_or_map.map, tol_rank, opts))
+        rec_or_map.counts[key] = known
+    return known[1]
+
+
+def _signed_count(w: CoorientedMember, sigma: SmoothSimplexMap, tol_rank: float,
+                  opts: LocusOptions) -> int:
     if sigma.dim != w.codim:
         raise ValueError("iota_W needs dim sigma = codim W")
     verdict = is_transverse_pair(sigma, w.member, tol_rank, None, opts)

@@ -12,9 +12,18 @@ uniform lattice in the joint parameter domain, runs batched Gauss-Newton,
 keeps the roots that lie in both open strata, clusters them, and gives each
 kept point its spanning margin from the face map, the face coordinates and
 the stratum's constraints or chart coordinates that the solve already
-holds.  Completeness is heuristic and is guarded by the density escalation
-in ``is_transverse_pair``.  Every verdict is therefore a numerical statement
-about located points, not a certificate.
+holds.
+
+Where the face residual is a polynomial (an unprojected simplex map against
+a level-set member), a Bernstein exclusion test runs first: if the convex
+hull of the residual's control points, on the face or on each piece of a
+few bisections, stays a margin away from zero, the face is certified
+root-free and Newton is skipped.  Skipping changes no output: Newton keeps a
+point only where the evaluated residual is within ``tau_root``, which the
+margin rules out on the whole closed face.  Located points are still
+numerical: completeness elsewhere is heuristic and is guarded by the
+density escalation in ``is_transverse_pair``, so a verdict with points is a
+numerical statement about them, not a certificate.
 """
 
 from __future__ import annotations
@@ -26,12 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import AmbientManifold
+from .corner_ext import _bernstein_basis
 from .errors import OutOfTube, RankDrop, TrialsExhausted
 from .poly import PolyMap
 from .simplex_geom import (
     barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
+    principal_lattice,
     realize_morphism,
     simplex_grid,
 )
@@ -60,6 +71,8 @@ _MAX_CELLS_PER_DIM = 64  # cap of the cell escalation in is_transverse_pair
 _CLUSTER_RADIUS = 1e-6  # located points closer than this are one point
 _OPEN_TOL = 1e-9  # barycentric / inequality margin of an open stratum
 _MAX_ITERS = 30  # most Gauss-Newton iterations per solve
+_EXCLUSION_DEPTH = 6  # bisection levels of the root-free test
+_EXCLUSION_ROUNDING = 1e-9  # rounding allowance of the root-free margin, relative
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,14 @@ class LocusOptions:
     cells_per_dim: int = 8
     tau_root: float = 1e-10
 
+    def __post_init__(self):
+        cells = self.cells_per_dim
+        if isinstance(cells, bool) or not isinstance(cells, int) or cells < 1:
+            raise ValueError(f"cells_per_dim must be an int >= 1, got {cells!r}")
+        tau = self.tau_root
+        if not isinstance(tau, (int, float)) or not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau_root must be finite and > 0, got {tau!r}")
+
 
 @dataclass
 class IntersectionPoint:
@@ -258,17 +279,91 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
     return u, np.max(np.abs(r), axis=1)
 
 
+_control_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
+
+
+def _control_map(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The order-``degree`` principal lattice of Delta^k, the matrix taking
+    values there to Bernstein control points, and its infinity norm."""
+    key = (k, degree)
+    if key not in _control_cache:
+        lattice = principal_lattice(k, degree)[0]
+        vand = np.stack([b.eval_many(lattice)[:, 0] for b in _bernstein_basis(k, degree)],
+                        axis=1)
+        inv = np.linalg.inv(vand)
+        _control_cache[key] = (lattice, inv, float(np.max(np.sum(np.abs(inv), axis=1))))
+    return _control_cache[key]
+
+
+def _bisect(pieces: np.ndarray) -> np.ndarray:
+    """Both halves of every simplex in ``pieces`` (rows of vertices), split
+    at the midpoint of its longest edge."""
+    gaps = np.sum((pieces[:, :, None] - pieces[:, None, :]) ** 2, axis=3)
+    i, j = np.divmod(np.argmax(gaps.reshape(len(pieces), -1), axis=1), pieces.shape[1])
+    rows = np.arange(len(pieces))
+    mid = (pieces[rows, i] + pieces[rows, j]) / 2
+    left, right = pieces.copy(), pieces.copy()
+    left[rows, j] = mid
+    right[rows, i] = mid
+    return np.concatenate([left, right])
+
+
+def _root_free(residual, k: int, degree: int, tau_root: float) -> bool:
+    """True when the polynomial ``residual`` of at most that degree provably
+    keeps ``max |r| > tau_root`` on the closed face Delta^k.
+
+    On a simplex, r lies in the convex hull of its Bernstein control points
+    b, so a unit direction d with ``min d.b`` above the margin keeps
+    ``|r|_2``, and hence ``sqrt(c) * max |r|``, above it too.  The
+    directions tried are +-e_i and the mean of the control points.  The
+    margin adds to ``sqrt(c) * tau_root`` an allowance for the rounding of
+    the values, of the control points, and of iterates a few ulps outside
+    the face.  Pieces that fail are bisected, every piece of one level in
+    one ``residual`` call, up to ``_EXCLUSION_DEPTH`` levels.  A non-finite
+    value never certifies.
+    """
+    lattice, inv, inv_norm = _control_map(k, degree)
+    pieces = np.concatenate([np.zeros((1, k)), np.eye(k)])[None]
+    for level in range(_EXCLUSION_DEPTH + 1):
+        if level:
+            pieces = _bisect(pieces)
+        base = pieces[:, :1]
+        shape = (len(pieces), len(lattice))
+        pts = base + lattice @ (pieces[:, 1:] - base)
+        vals = residual(pts.reshape(shape[0] * shape[1], k)).reshape(*shape, -1)
+        if not np.all(np.isfinite(vals)):
+            return False
+        ctrl = inv @ vals
+        mean = ctrl.mean(axis=1)
+        norm = np.linalg.norm(mean, axis=1, keepdims=True)
+        d = mean / np.where(norm > 0, norm, 1.0)
+        lower = np.concatenate([ctrl.min(axis=1), -ctrl.max(axis=1),
+                                np.min(ctrl @ d[:, :, None], axis=1)], axis=1)
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=(1, 2)))
+        margin = math.sqrt(vals.shape[2]) * tau_root + _EXCLUSION_ROUNDING * inv_norm * scale
+        pieces = pieces[np.max(lower, axis=1) <= margin]
+        if not len(pieces):
+            return True
+        if k == 0:
+            return False
+    return False
+
+
 def _cluster(points: list[IntersectionPoint]) -> list[int]:
     """Indices of the points a greedy merge keeps, lowest residual first: a
     point within _CLUSTER_RADIUS of a kept one in both x and y is dropped."""
-    order = sorted(range(len(points)),
-                   key=lambda i: (points[i].residual, tuple(np.round(points[i].x, 12))))
+    rounded = np.round(np.array([p.x for p in points]), 12).tolist()
+    order = sorted(range(len(points)), key=lambda i: (points[i].residual, tuple(rounded[i])))
     rows = np.array([np.concatenate([p.x, p.y]) for p in points])
+    # each point's distance to the nearest point kept so far, updated once
+    # per kept point; np.minimum keeps a NaN distance the way np.min does
+    nearest = np.full(len(points), np.inf)
     kept: list[int] = []
     for i in order:
-        if kept and np.min(np.max(np.abs(rows[kept] - rows[i]), axis=1)) <= _CLUSTER_RADIUS:
+        if nearest[i] <= _CLUSTER_RADIUS:
             continue
         kept.append(i)
+        np.minimum(nearest, np.max(np.abs(rows - rows[i]), axis=1), out=nearest)
     return kept
 
 
@@ -324,6 +419,14 @@ def _solve_descriptor_pair(
 
     if member.kind == LEVEL_SET:
         eqs = [member.level] + [member.inequalities[a] for a in active]
+        if not sigma_f.project_flag:
+            def residual(w):
+                z = sigma_f.eval_many(w)
+                return np.concatenate([e.eval_many(z) for e in eqs], axis=1)
+
+            degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
+            if _root_free(residual, split, degree, opts.tau_root):
+                return IntersectionReport(cells_used=cells)
 
         def linearize(w):
             z = sigma_f.eval_many(w)

@@ -19,6 +19,7 @@ from .cochain import (
     Chain,
     CoorientedMember,
     boundary,
+    cocycle_check,
     iota_W,
     iota_W_chain,
     pullback_evaluate,
@@ -63,6 +64,8 @@ __all__ = [
     "default_battery",
     "sensitivity_entries",
 ]
+
+_CONTRACT_GRID, _CONTRACT_TIMES = 5, 9  # samples of the track contract check
 
 
 @dataclass
@@ -220,19 +223,15 @@ def check_cocycle_zero(
     for idx in range(count):
         tau = random_transverse_cubic(rng, member)
         rec = fam.add(tau)
-        counts: dict[str, int] = {}
         face_rows = []
         for i, fid in enumerate(rec.faces):
             face = fam.records[fid]
-            if fid not in counts:
-                counts[fid] = iota_W(w, face, tol_rank, opts)
+            iota = iota_W(w, face, tol_rank, opts)
             wound = winding_number(face.map)
-            face_rows.append({"face": i, "iota": counts[fid], "winding": wound})
-            ok = ok and counts[fid] == wound
-        # the boundary count reuses the face counts; the record-id boundary
-        # still decides which faces enter and with which coefficients
-        bdry = boundary(Chain.build(rec.dim, [(1, rec)]), fam)
-        total = sum(coeff * counts[face.id] for coeff, face in bdry.terms)
+            face_rows.append({"face": i, "iota": iota, "winding": wound})
+            ok = ok and iota == wound
+        # the faces keep their counts, so the boundary count solves nothing
+        total = cocycle_check(w, rec, fam, tol_rank, opts)
         ok = ok and total == 0
         rows.append({"simplex": idx, "boundary_count": total, "faces": face_rows})
     elapsed = time.perf_counter() - t0
@@ -313,10 +312,9 @@ def check_torus_duality(
     )
 
 
-def _track_contract_errors(fam: FiniteSingularFamily, rec, grid: int = 5,
-                           time_samples: int = 9) -> dict:
+def _track_contract_errors(fam: FiniteSingularFamily, rec) -> dict:
     track = fam.track(rec)
-    pts = simplex_grid(rec.dim, grid)
+    pts = simplex_grid(rec.dim, _CONTRACT_GRID)
     start_err = max(
         float(np.max(np.abs(track.eval(0.0, x) - rec.map.eval(x)))) for x in pts
     )
@@ -336,8 +334,8 @@ def _track_contract_errors(fam: FiniteSingularFamily, rec, grid: int = 5,
         for i, fid in enumerate(rec.faces):
             face_track = fam.track(fam.records[fid])
             aff = realize_morphism(DeltaMorphism.face(i, rec.dim))
-            for t in np.linspace(0.0, 1.0, time_samples):
-                for wpt in simplex_grid(rec.dim - 1, grid):
+            for t in np.linspace(0.0, 1.0, _CONTRACT_TIMES):
+                for wpt in simplex_grid(rec.dim - 1, _CONTRACT_GRID):
                     lhs = track.eval(float(t), aff.apply(wpt))
                     rhs = face_track.eval(float(t), wpt)
                     boundary_err = max(boundary_err, float(np.max(np.abs(lhs - rhs))))

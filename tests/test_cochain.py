@@ -29,7 +29,7 @@ from transim.scenarios import (
 )
 from transim.smooth_maps import SmoothSimplexMap
 from transim.transversal import CornerManifold, LocusOptions, TCollection
-from transim import verify
+from transim import cochain, verify
 from transim.verify import check_cocycle_zero
 
 _OPTS = LocusOptions(cells_per_dim=12)
@@ -81,16 +81,68 @@ def test_iota_matches_winding_oracle(crossing_triangle):
     assert iota_W(w, missing, opts=_OPTS) == 0
 
 
-def test_coorientation_reversal_flips_sign(crossing_triangle):
+def _reversed_origin():
     level = PolyMap.affine(np.eye(2), np.zeros(2))
     co = (
         PolyMap.constant(np.array([-1.0, 0.0]), 2),
         PolyMap.constant(np.array([0.0, 1.0]), 2),
     )
-    reversed_member = CornerManifold.level_set_in(
-        "origin-rev", plane(), level, coorientation=co
-    )
-    assert iota_W(CoorientedMember(reversed_member), crossing_triangle, opts=_OPTS) == -1
+    return CornerManifold.level_set_in("origin-rev", plane(), level, coorientation=co)
+
+
+def test_coorientation_reversal_flips_sign(crossing_triangle):
+    assert iota_W(CoorientedMember(_reversed_origin()), crossing_triangle, opts=_OPTS) == -1
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The maps iota_W hands to is_transverse_pair, in call order."""
+    maps = []
+    solve = cochain.is_transverse_pair
+
+    def counting(sigma, *args):
+        maps.append(sigma)
+        return solve(sigma, *args)
+
+    monkeypatch.setattr(cochain, "is_transverse_pair", counting)
+    return maps
+
+
+def test_a_record_is_counted_once_per_member_and_options(solved, crossing_triangle):
+    rec = _family(origin_member()).add(crossing_triangle)
+    w = CoorientedMember(origin_member())
+    assert [iota_W(w, rec, opts=_OPTS) for _ in range(3)] == [1, 1, 1]
+    assert solved == [rec.map]
+    # another member (even an equal one), tolerance or options is solved anew
+    assert iota_W(CoorientedMember(_reversed_origin()), rec, opts=_OPTS) == -1
+    assert iota_W(CoorientedMember(origin_member()), rec, opts=_OPTS) == 1
+    assert iota_W(w, rec, tol_rank=1e-7, opts=_OPTS) == 1
+    assert iota_W(w, rec, opts=LocusOptions(cells_per_dim=8)) == 1
+    assert len(solved) == 5
+    # a bare map is not remembered
+    assert [iota_W(w, crossing_triangle, opts=_OPTS) for _ in range(2)] == [1, 1]
+    assert len(solved) == 7
+
+
+def test_a_failed_count_is_not_remembered(solved, edge_triangle):
+    rec = _family(origin_member()).add(edge_triangle)
+    w = CoorientedMember(origin_member())
+    for _ in range(2):
+        with pytest.raises(NotTransverse):
+            iota_W(w, rec, opts=_OPTS)
+    assert len(solved) == 2 and not rec.counts
+
+
+def test_boundary_then_faces_solves_each_face_once(solved):
+    member = origin_member()
+    fam = _family(member)
+    w = CoorientedMember(member)
+    rec = fam.add(random_transverse_cubic(np.random.default_rng(74), member, opts=_OPTS))
+    assert cocycle_check(w, rec, fam, opts=_OPTS) == 0
+    faces = [fam.records[fid] for fid in rec.faces]
+    counts = [iota_W(w, face, opts=_OPTS) for face in faces]
+    assert counts == [winding_number(face.map) for face in faces]
+    assert solved == [face.map for face in faces]
 
 
 def test_winding_rejects_center_on_boundary(edge_triangle):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from transim.simplex_geom import (
     collapse_to_simplex,
     face_for_vertices,
     realize_morphism,
+    simplex_grid,
 )
 from transim.smooth_maps import SmoothSimplexMap, maps_close
 from transim.transversal import (
@@ -297,7 +299,7 @@ def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
     exit_newton = transversal._batched_newton
     calls = {}  # (member, seed columns) -> [with exit, fixed budget]
 
-    def both(linearize, seeds, opts, clip=collapse_to_simplex):
+    def compare(linearize, seeds, opts, clip, key):
         counts = [0, 0]
 
         def counting(slot):
@@ -311,10 +313,13 @@ def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
         assert counts[0] <= counts[1]
-        tally = calls.setdefault((member.name, seeds.shape[1]), [0, 0])
+        tally = calls.setdefault(key, [0, 0])
         tally[0] += counts[0]
         tally[1] += counts[1]
         return got
+
+    def both(linearize, seeds, opts, clip=collapse_to_simplex):
+        return compare(linearize, seeds, opts, clip, (member.name, seeds.shape[1]))
 
     monkeypatch.setattr(transversal, "_batched_newton", both)
     for sigma, member, opts in cases:
@@ -322,6 +327,233 @@ def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
             for ell in member.depths():
                 intersection_locus(sigma, k, member, ell, opts)
     assert {"origin", "meridian", "strip"} <= {name for name, _ in calls}
-    # the edges of a cubic miss the origin, and their solves stall early
-    edge_exit, edge_budget = calls[("origin", 1)]
+
+    # The edges of a cubic miss the origin, so the exclusion test skips
+    # their Newton solves; drive those solves directly with the edge
+    # residual and Jacobian of the level-set path.
+    level = origin.level
+    for c in cubics:
+        for kept in itertools.combinations(range(4), 2):
+            edge = c.restrict(face_for_vertices(3, kept))
+
+            def linearize(w, edge=edge):
+                z = edge.eval_many(w)
+                return level.eval_many(z), np.einsum(
+                    "pij,pjk->pik", level.jac_many(z), edge.jacobian_many(w))
+
+            for cells in (8, 16):
+                compare(linearize, simplex_grid(1, cells + 1),
+                        LocusOptions(cells_per_dim=cells), collapse_to_simplex,
+                        ("origin edge", 1))
+    # and their solves stall early
+    edge_exit, edge_budget = calls[("origin edge", 1)]
     assert edge_exit < edge_budget
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cells_per_dim": 0}, {"cells_per_dim": -3}, {"cells_per_dim": 8.0},
+    {"cells_per_dim": True}, {"tau_root": float("nan")}, {"tau_root": float("inf")},
+    {"tau_root": 0.0}, {"tau_root": -1e-10},
+])
+def test_locus_options_are_validated(kwargs):
+    with pytest.raises(ValueError):
+        LocusOptions(**kwargs)
+    assert LocusOptions(cells_per_dim=1, tau_root=1e-3) == LocusOptions(1, 1e-3)
+
+
+# -- the root-free exclusion test ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cubics():
+    rng = np.random.default_rng(91)
+    return [random_transverse_cubic(rng, origin_member()) for _ in range(20)]
+
+
+def _exclusion_verdicts(monkeypatch, force_newton=False):
+    """Record the verdict of every root-free test, keyed by (member,
+    vanishing, active, cells) of its face solve.  With ``force_newton`` the
+    Newton path runs on every certified face anyway and the residual norms
+    it returns are recorded under the same key; the other faces are not
+    under test and skip Newton."""
+    verdicts, norms, key = {}, {}, []
+    solve = transversal._solve_descriptor_pair
+    root_free = transversal._root_free
+    newton = transversal._batched_newton
+
+    def keyed_solve(sigma, member, vanishing, active, cells, opts):
+        key[:] = [(member.name, vanishing, active, cells)]
+        return solve(sigma, member, vanishing, active, cells, opts)
+
+    def recording_root_free(*args):
+        verdicts[key[0]] = root_free(*args)
+        return verdicts[key[0]] and not force_newton
+
+    def recording_newton(linearize, seeds, opts, clip=collapse_to_simplex):
+        if not verdicts[key[0]]:
+            return seeds, np.full(len(seeds), np.inf)
+        sols, res = newton(linearize, seeds, opts, clip)
+        norms[key[0]] = res
+        return sols, res
+
+    monkeypatch.setattr(transversal, "_solve_descriptor_pair", keyed_solve)
+    monkeypatch.setattr(transversal, "_root_free", recording_root_free)
+    if force_newton:
+        monkeypatch.setattr(transversal, "_batched_newton", recording_newton)
+    return verdicts, norms
+
+
+def test_certified_faces_give_newton_no_candidate(monkeypatch, cubics):
+    origin, axis = origin_member(), line_member()
+    # bumped maps: perturbed cubics (degree 4 inside) and perturbed faces
+    # of cubics (degree 3 inside), as perturb_to_transverse builds them
+    bumped = []
+    for i, c in enumerate(cubics[:3]):
+        for sigma in (c, c.restrict(DeltaMorphism.face(0, 3))):
+            out = perturb_to_transverse(sigma, TCollection.of(origin), seed=i)
+            assert out.sigma_prime.bumps
+            bumped.append(out.sigma_prime)
+    verdicts, norms = _exclusion_verdicts(monkeypatch, force_newton=True)
+    tau = LocusOptions().tau_root
+    certified = {}  # (member, depth, bumped) -> [certified, tested]
+    for sigma in cubics + bumped:
+        for member in (origin, axis):
+            for cells in (8, 16):
+                verdicts.clear()
+                norms.clear()
+                opts = LocusOptions(cells_per_dim=cells)
+                for k in range(sigma.dim + 1):
+                    intersection_locus(sigma, k, member, 0, opts)
+                for face, ok in verdicts.items():
+                    depth = sigma.dim - len(face[1])
+                    tally = certified.setdefault(
+                        (member.name, depth, bool(sigma.bumps) and depth == sigma.dim), [0, 0])
+                    tally[0] += ok
+                    tally[1] += 1
+                    if ok:
+                        # every candidate needs a residual within tau_root
+                        assert np.all(norms[face] > tau), (member.name, face)
+    for name in ("origin", "axis"):
+        for depth in range(4):
+            done, tested = certified[(name, depth, False)]
+            assert 0 < done <= tested
+    assert certified[("origin", 0, False)][0] == certified[("origin", 0, False)][1]
+    assert sum(certified[("origin", d, True)][0] for d in (2, 3)) > 0
+
+
+def _power_coefficients(edge):
+    """Per component, the coefficients of an unbumped 1-simplex map in t,
+    highest power first (np.polyval order)."""
+    deg = edge.poly.total_degree()
+    coeffs = np.zeros((edge.poly.ncomp, deg + 1))
+    for (power,), c in edge.poly.terms.items():
+        coeffs[:, deg - power] += c
+    return coeffs
+
+
+def _real_roots_in_unit_interval(coeffs):
+    roots = np.roots(coeffs)
+    real = roots[np.abs(roots.imag) <= 1e-6].real
+    return real[(real >= -1e-9) & (real <= 1.0 + 1e-9)]
+
+
+def test_certified_edges_agree_with_np_roots(monkeypatch, cubics):
+    verdicts, _ = _exclusion_verdicts(monkeypatch)
+    tau = LocusOptions().tau_root
+    counts = {"origin": [0, 0], "axis": [0, 0]}  # [certified, edges]
+    for sigma in cubics:
+        for member in (origin_member(), line_member()):
+            verdicts.clear()
+            intersection_locus(sigma, 2, member, 0)
+            for (name, vanishing, _, _), ok in verdicts.items():
+                counts[name][1] += 1
+                if not ok:
+                    continue
+                counts[name][0] += 1
+                kept = tuple(i for i in range(4) if i not in vanishing)
+                x, y = _power_coefficients(sigma.restrict(face_for_vertices(3, kept)))
+                if name == "axis":
+                    assert not len(_real_roots_in_unit_interval(y)), kept
+                else:
+                    sq = np.polyadd(np.polymul(x, x), np.polymul(y, y))
+                    ts = np.concatenate([[0.0, 1.0], _real_roots_in_unit_interval(
+                        np.polyder(sq))])
+                    assert np.min(np.hypot(np.polyval(x, ts), np.polyval(y, ts))) > tau
+    assert counts["origin"][1] == counts["axis"][1] == 120
+    assert counts["origin"][0] > 90 and counts["axis"][0] > 30
+
+
+def _edges_near_origin(gap):
+    """A straight edge along y = gap and a parabola y = gap + 0.8 x^2, each
+    passing the origin, and touching the axis, at distance gap."""
+    straight = PolyMap(1, 2, {(0,): np.array([-0.7, gap]), (1,): np.array([1.6, 0.0])})
+    parabola = PolyMap(1, 2, {
+        (0,): np.array([-0.7, gap + 0.392]),
+        (1,): np.array([1.6, -1.792]),
+        (2,): np.array([0.0, 2.048]),
+    })
+    return [SmoothSimplexMap.from_poly(p, plane()) for p in (straight, parabola)]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-11, 1e-10])
+def test_edges_within_tau_root_are_never_certified(monkeypatch, gap):
+    verdicts, _ = _exclusion_verdicts(monkeypatch)
+    for edge in _edges_near_origin(gap):
+        assert abs(edge.eval(np.array([0.4375]))[0]) < 1e-15
+        for member in (origin_member(), line_member()):
+            verdicts.clear()
+            intersection_locus(edge, 0, member, 0)
+            assert verdicts == {(member.name, (), (), 8): False}
+
+
+def test_non_finite_residual_is_never_certified():
+    tau = LocusOptions().tau_root
+    level = origin_member().level
+    for bad in (0.0, np.nan):
+        poly = PolyMap(1, 2, {(0,): np.array([5.0, 5.0]), (1,): np.array([1.0, bad])})
+        edge = SmoothSimplexMap.from_poly(poly, plane())
+
+        def residual(w, edge=edge):
+            return level.eval_many(edge.eval_many(w))
+
+        # far from the origin: certified, unless a coefficient is NaN
+        assert transversal._root_free(residual, 1, 1, tau) == (bad == 0.0)
+        vertex = edge.restrict(DeltaMorphism.face(0, 1))
+        assert transversal._root_free(
+            lambda w: level.eval_many(vertex.eval_many(w)), 0, 0, tau) == (bad == 0.0)
+
+
+def _pairwise_greedy(points):
+    """The clustering rule written out pairwise: lowest residual first, a
+    point within _CLUSTER_RADIUS of any kept one in both x and y is dropped."""
+    order = sorted(range(len(points)),
+                   key=lambda i: (points[i].residual, tuple(np.round(points[i].x, 12))))
+    rows = np.array([np.concatenate([p.x, p.y]) for p in points])
+    kept = []
+    for i in order:
+        if kept and (np.min(np.max(np.abs(rows[kept] - rows[i]), axis=1))
+                     <= transversal._CLUSTER_RADIUS):
+            continue
+        kept.append(i)
+    return kept
+
+
+def test_cluster_matches_the_pairwise_greedy():
+    """Points scattered around a few centres at spreads on both sides of
+    the radius, with ties in residual and some non-finite coordinates."""
+    rng = np.random.default_rng(73)
+    for _ in range(400):
+        n, k, m = int(rng.integers(0, 40)), int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        centres = rng.random((max(1, n // 5), k + m))
+        points = []
+        for _ in range(n):
+            row = centres[rng.integers(len(centres))] + rng.normal(
+                scale=10 ** rng.uniform(-9, -5), size=k + m)
+            if rng.random() < 0.03:
+                row[rng.integers(k + m)] = rng.choice([np.nan, np.inf, -np.inf])
+            residual = float(rng.choice([0.0, 1e-12, rng.random() * 1e-10]))
+            points.append(transversal.IntersectionPoint(
+                member="m", x=row[:k], simplex_vanishing=(), y=row[k:],
+                member_active=(), z=row[k:], residual=residual))
+        with np.errstate(invalid="ignore"):
+            assert transversal._cluster(points) == _pairwise_greedy(points)
