@@ -80,9 +80,6 @@ class AmbientManifold:
 
     # -- projection --------------------------------------------------------------
 
-    def project(self, z) -> np.ndarray:
-        return self.project_many(np.asarray(z, dtype=float).reshape(1, -1))[0]
-
     def project_many(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, self.ambient_dim)
         if self.kind == "euclidean":

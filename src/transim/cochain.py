@@ -16,7 +16,6 @@ accumulation, which equals the signed count by degree theory.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import NearSingularSign, NotTransverse
 from .retraction import FiniteSingularFamily, SingularRecord
-from .simplex_geom import DeltaMorphism, barycentrics
+from .simplex_geom import DeltaMorphism, barycentrics_many
 from .smooth_maps import SmoothSimplexMap
 from .transversal import (
     CornerManifold,
@@ -42,7 +41,6 @@ __all__ = [
     "cocycle_check",
     "winding_number",
     "pullback_evaluate",
-    "export_signs_csv",
 ]
 
 
@@ -129,12 +127,13 @@ def _oriented_orthonormal(cols: np.ndarray) -> np.ndarray:
     return q * flip
 
 
-def _point_sign(w: CoorientedMember, sigma: SmoothSimplexMap,
-                p: IntersectionPoint) -> int:
-    ambient = sigma.ambient
-    frame = ambient.tangent_basis(p.z)
-    co = frame.T @ w.member.coorientation_frame(p.z)
-    push = frame.T @ sigma.jacobian(p.x)
+def _point_sign(sigma: SmoothSimplexMap, p: IntersectionPoint, normals: np.ndarray,
+                jac: np.ndarray) -> int:
+    """Sign of the crossing at p, from the member's coorientation frame and
+    the simplex's Jacobian there."""
+    frame = sigma.ambient.tangent_basis(p.z)
+    co = frame.T @ normals
+    push = frame.T @ jac
     a = _oriented_orthonormal(co).T @ push
     det = float(np.linalg.det(a))
     if abs(det) < _SIGN_TRUST:
@@ -191,17 +190,22 @@ def _signed_count(w: CoorientedMember, sigma: SmoothSimplexMap, tol_rank: float,
             "facet intersections present in complementary dimension; "
             "the transversality check should have excluded this"
         )
+    points = verdict.report.points
+    if not points:
+        return 0
+    xs = np.array([p.x for p in points])
+    lam_mins = np.min(barycentrics_many(sigma.dim, xs), axis=1)
+    frames = w.member.coorientation_frame(np.array([p.z for p in points]))
+    jacs = sigma.jacobian_many(xs)
     total = 0
-    for p in verdict.report.points:
-        lam_min = float(np.min(barycentrics(sigma.dim, p.x)))
+    for p, lam_min, normals, jac in zip(points, lam_mins, frames, jacs):
         if lam_min < _MIN_BARYCENTRIC:
             raise NotTransverse(
                 f"counted point sits {lam_min:.3e} from the boundary; "
                 "complementary-dimension interiority is violated"
             )
-        sign = _point_sign(w, sigma, p)
-        p.sign = sign
-        total += sign
+        p.sign = _point_sign(sigma, p, normals, jac)
+        total += p.sign
     return total
 
 
@@ -309,18 +313,3 @@ def _wrap(angle: float) -> float:
     while angle < -math.pi:
         angle += 2.0 * math.pi
     return angle
-
-
-def export_signs_csv(points: list[IntersectionPoint], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member", "sign", "residual", "spanning_sv", "x", "z"])
-        for p in points:
-            writer.writerow([
-                p.member,
-                p.sign if p.sign is not None else "",
-                f"{p.residual:.3e}",
-                f"{p.spanning_sv:.6e}" if p.spanning_sv is not None else "",
-                " ".join(f"{v:.12g}" for v in p.x),
-                " ".join(f"{v:.12g}" for v in p.z),
-            ])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleFaces, OutOfTube, ToleranceUnreachable
+from .errors import IncompatibleFaces, ToleranceUnreachable
 from .poly import AffineProduct, PolyMap, monomial_exponents
 from .simplex_geom import (
     DeltaMorphism,
@@ -185,22 +185,22 @@ def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> tuple[PolyMap,
     ncomp = piecewise.ambient.ambient_dim
     facet_raw = [piecewise.facet_map(i).flatten() for i in range(n + 1)]
     nodes, multis = principal_lattice(n, order)
+    on_wall = multis == 0
+    first_wall = np.argmax(on_wall, axis=1)
     values = np.zeros((len(nodes), ncomp))
-    for row, (x, m) in enumerate(zip(nodes, multis)):
-        zero_walls = [i for i in range(n + 1) if m[i] == 0]
-        if zero_walls:
-            kept = np.delete(m, zero_walls[0]).astype(float) / order
-            val = facet_raw[zero_walls[0]].eval(kept[1:])
-            for other in zero_walls[1:]:
-                kept_o = np.delete(m, other).astype(float) / order
-                val_o = facet_raw[other].eval(kept_o[1:])
-                if float(np.max(np.abs(val - val_o))) > _COMPAT_TOL:
-                    raise IncompatibleFaces(
-                        "facet data disagree at a shared lattice node"
-                    )
-            values[row] = val
-        else:
-            values[row] = piecewise.eval(x)
+    for i in range(n + 1):
+        # the facet-i chart coordinates of a node are its multi-index without
+        # entry i, over the order, less the leading entry; a node's first
+        # wall sets its value and every later wall must agree with it
+        rows = np.flatnonzero(on_wall[:, i])
+        coords = np.delete(multis[rows], i, axis=1)[:, 1:].astype(float) / order
+        vals = facet_raw[i].eval_many(coords)
+        first = first_wall[rows] == i
+        values[rows[first]] = vals[first]
+        if np.any(np.abs(vals[~first] - values[rows[~first]]) > _COMPAT_TOL):
+            raise IncompatibleFaces("facet data disagree at a shared lattice node")
+    interior = ~on_wall.any(axis=1)
+    values[interior] = piecewise.eval(nodes[interior])
     basis = _bernstein_basis(n, order)
     vand = np.stack([b.eval_many(nodes)[:, 0] for b in basis], axis=1)
     coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
@@ -218,20 +218,14 @@ def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> tuple[PolyMap,
 _GRID_ORDER = {1: 64, 2: 24, 3: 12}
 
 
-def smooth_rel_boundary(
-    sigma: SmoothSimplexMap | PiecewiseMap,
-    tol: float,
-) -> tuple[SmoothSimplexMap, dict]:
+def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> tuple[SmoothSimplexMap, dict]:
     """Single polynomial map matching sigma's facets and sup-close to sigma.
 
-    A map that is already representable is returned unchanged (the homotopy
-    to it has zero length).  Otherwise the output is E + rho * Q as described
-    in the module docstring; ``ToleranceUnreachable`` is raised if the fit
-    misses ``tol`` at the degree cap.
+    The output is E + rho * Q as described in the module docstring;
+    ``ToleranceUnreachable`` is raised if the fit misses ``tol`` at the
+    degree cap, and ``OutOfTube`` if a projected surrogate leaves the tube
+    on the fitting grid.
     """
-    if isinstance(sigma, SmoothSimplexMap):
-        return sigma, {"sup_error": 0.0, "facet_error": 0.0, "already_polynomial": True}
-
     n = sigma.dim
     if n < 1:
         raise ValueError("piecewise smoothing needs dimension >= 1")
@@ -245,7 +239,7 @@ def smooth_rel_boundary(
 
     rho = AffineProduct.barycentric(n)
     grid, _ = principal_lattice(n, _GRID_ORDER.get(n, 8))
-    target = np.array([sigma.eval(x) for x in grid])
+    target = sigma.eval(grid)
     resid = target - interp.eval_many(grid)
 
     qdeg = _DEGREE_CAP - (n + 1)
@@ -271,18 +265,8 @@ def smooth_rel_boundary(
         SimplexDomain(n), ambient, interp + correction, project_flag
     )
 
-    if project_flag:
-        raw = candidate.raw_many(grid)
-        worst_offset = 0.0
-        for v in raw:
-            worst_offset = max(worst_offset, ambient.distance(v))
-        if worst_offset >= ambient.tube_radius:
-            raise OutOfTube("smoothed surrogate leaves the tubular neighborhood")
-
-    fitted = candidate.eval_many(grid)
-    actual = target
-    if project_flag:
-        actual = np.array([v if ambient.contains(v) else ambient.project(v) for v in target])
+    fitted = candidate.eval_many(grid)  # projecting raises OutOfTube off the tube
+    actual = ambient.project_many(target) if project_flag else target
     sup_err = float(np.max(np.linalg.norm(fitted - actual, axis=1)))
     if sup_err > tol:
         raise ToleranceUnreachable(
@@ -291,7 +275,6 @@ def smooth_rel_boundary(
     return candidate, {
         "sup_error": sup_err,
         "facet_error": float(facet_err),
-        "already_polynomial": False,
         "interpolation_degree": _DEGREE_CAP,
         "correction_degree": max(qdeg, -1),
     }

@@ -10,9 +10,19 @@ sampling or refitting is involved.
 
 Evaluation arrays (an exponent matrix, the coefficient matrix and the
 derivative weights) are derived from ``terms`` on a map's first evaluation
-and kept read-only.  Every evaluation, one point or a batch, values or
-Jacobians, goes through them: a power table x_j^k, a gather over the
-exponents and one matrix product with the coefficients.
+and kept read-only.  Evaluation takes a block of points, values or
+Jacobians: a power table x_j^k, a gather over the exponents, and a sum of
+the per-term products.
+
+Evaluation is row-invariant: a point's value has the same bits whichever
+block it is evaluated in, alone or among others.  The sum over terms runs in
+term order with elementwise array operations.  A matrix product would not
+do: BLAS and ``np.einsum`` pick their kernel, and with it the summation
+order, from the block's shape and layout, so one row alone and the same row
+in a batch can differ in the last bits.  Row invariance is what lets every
+caller, tracks and slices included, evaluate whole blocks and still get the
+bits of a one-point evaluation (reproducible summation: Demmel and Nguyen,
+"Fast reproducible floating-point summation", ARITH 2013).
 
 ``AffineProduct`` keeps a product of affine factors in factored form.  It is
 used for the interior bump rho = product of barycentric coordinates: the
@@ -28,6 +38,10 @@ import math
 import numpy as np
 
 __all__ = ["PolyMap", "AffineProduct", "monomial_exponents", "point_block"]
+
+# _sum_terms takes one np.cumsum when a block has more than 3 terms of at
+# most this many elements each, and a loop of adds otherwise (the faster)
+_ACCUMULATE_MAX = 64
 
 
 def point_block(pts, dim: int) -> np.ndarray:
@@ -54,6 +68,21 @@ def monomial_exponents(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
             if sum(exp) == total:
                 out.append(exp)
     return out
+
+
+def _sum_terms(prods: np.ndarray) -> np.ndarray:
+    """Sum of a fresh array of per-term products over its first axis, in
+    term order, ((t0 + t1) + t2) + ..., elementwise, so no element's bits
+    depend on the others.  ``np.cumsum`` and a loop of in-place adds make
+    the same additions.  No terms sum to zero."""
+    if not len(prods):
+        return np.zeros(prods.shape[1:])
+    if len(prods) > 3 and prods[0].size <= _ACCUMULATE_MAX:
+        return np.cumsum(prods, axis=0)[-1]
+    total = prods[0].copy()  # frees the products on return
+    for term in prods[1:]:
+        total += term
+    return total
 
 
 class PolyMap:
@@ -114,9 +143,10 @@ class PolyMap:
 
         The power table holds x_j^k for k <= deg, deg being the largest
         single exponent, as rows j * (deg + 1) + k.  ``idx[j, t]`` is the
-        row of x_j^e_tj.  For d/dx_i, ``jac_idx[j, i, t]`` is the row of
-        the same factor with e_ti lowered by one (clipped at zero), and
-        ``jac_coef[i, :, t]`` is the weight e_ti * c_t.
+        row of x_j^e_tj, and ``coef[t]`` the coefficients of term t.  For
+        d/dx_i, ``jac_idx[j, i, t]`` is the row of the same factor with
+        e_ti lowered by one (clipped at zero), and ``jac_coef[t, i]`` is the
+        weight e_ti * c_t.
         """
         if self._arrays is None:
             nterms, n = len(self.terms), self.nvars
@@ -127,7 +157,7 @@ class PolyMap:
             base = (np.arange(n) * (deg + 1))[:, None]
             lowered = np.maximum(exps[:, None, :] - np.eye(n, dtype=np.intp)[:, :, None], 0)
             arrays = (deg, base + exps, coef, base[:, None] + lowered,
-                      exps[:, None, :] * coef.T)
+                      exps.T[:, :, None] * coef[:, None, :])
             for a in arrays[1:]:
                 a.setflags(write=False)
             self._arrays = arrays
@@ -146,21 +176,17 @@ class PolyMap:
         return np.take(flat, idx, axis=0).prod(axis=0)
 
     def eval_many(self, pts) -> np.ndarray:
-        """Evaluate at a batch of points of shape (p, nvars)."""
+        """Values at a block of points of shape (p, nvars); shape (p, ncomp)."""
         deg, idx, coef, _, _ = self._eval_arrays()
-        return self._monomials(pts, deg, idx).T @ coef
-
-    def eval(self, x) -> np.ndarray:
-        return self.eval_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
+        mono = self._monomials(pts, deg, idx)  # (nterms, p)
+        return _sum_terms(coef[:, :, None] * mono[:, None, :]).T
 
     def jac_many(self, pts) -> np.ndarray:
-        """Jacobians at a batch of points; shape (p, ncomp, nvars)."""
+        """Jacobians at a block of points; shape (p, ncomp, nvars)."""
         deg, _, _, jac_idx, jac_coef = self._eval_arrays()
         mono = self._monomials(pts, deg, jac_idx)  # (nvars, nterms, p)
-        return np.matmul(jac_coef, mono).transpose(2, 1, 0)
-
-    def jac(self, x) -> np.ndarray:
-        return self.jac_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0]
+        terms = jac_coef[:, :, :, None] * mono.transpose(1, 0, 2)[:, :, None, :]
+        return _sum_terms(terms).transpose(2, 1, 0)
 
     # -- algebra -----------------------------------------------------------
 
@@ -344,9 +370,6 @@ class AffineProduct:
         for a, b in self.factors:
             out = out * (pts @ a + b)
         return out
-
-    def eval(self, x) -> float:
-        return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, self.nvars))[0])
 
     def grad_many(self, pts) -> np.ndarray:
         """Gradients at a batch of points; shape (p, nvars).

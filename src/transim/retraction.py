@@ -20,22 +20,21 @@ from __future__ import annotations
 import bisect
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corner_ext import smooth_rel_boundary
-from .errors import NonFiniteMap
-from .poly import PolyMap
+from .poly import PolyMap, point_block
 from .simplex_geom import (
     DeltaMorphism,
-    barycentrics,
+    barycentrics_many,
     collapse_to_simplex,
-    facet_coordinates,
+    facet_coordinates_many,
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap, maps_close
+from .smooth_maps import SmoothSimplexMap, finite_flatten, maps_close
 from .transversal import (
     LocusOptions,
     TCollection,
@@ -50,6 +49,7 @@ __all__ = [
     "nondeg_factorize",
     "homotopy_H",
     "verify_naturality",
+    "verify_track_contracts",
     "export_track_csv",
 ]
 
@@ -57,7 +57,7 @@ STATUS_SMOOTH = "smooth"
 STATUS_TRANSVERSE = "transverse"
 
 _DEGENERATE_TOL = 1e-13  # coefficient tolerance of the collapse round trip
-_NATURALITY_TIMES, _NATURALITY_GRID = 9, 5  # samples of verify_naturality
+_CHECK_TIMES, _CHECK_GRID = 9, 5  # samples of verify_naturality and verify_track_contracts
 _CSV_TIMES, _CSV_GRID = 11, 6  # samples of export_track_csv
 
 
@@ -110,6 +110,8 @@ def nondeg_factorize(m: SmoothSimplexMap) -> tuple[DeltaMorphism, SmoothSimplexM
 
 
 # -- stages -------------------------------------------------------------------------
+# A stage's eval takes one time per row and a block of points.  Evaluation is
+# row-invariant all the way down (see poly): a block has the bits of a loop.
 
 
 @dataclass
@@ -118,10 +120,10 @@ class Stage:
     b: float
     kind: str
 
-    def local(self, t: float) -> float:
+    def local(self, t: np.ndarray) -> np.ndarray:
         if self.b <= self.a:
-            return 1.0
-        return min(max((t - self.a) / (self.b - self.a), 0.0), 1.0)
+            return np.ones_like(t)
+        return np.clip((t - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def describe(self) -> dict:
         return {"interval": [self.a, self.b], "kind": self.kind}
@@ -131,8 +133,8 @@ class Stage:
 class ConstantStage(Stage):
     map: SmoothSimplexMap = None
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.map.eval(x)
+    def eval(self, t, pts) -> np.ndarray:
+        return self.map.eval_many(pts)
 
 
 @dataclass
@@ -143,13 +145,13 @@ class SmoothingStage(Stage):
     start: object = None
     end: SmoothSimplexMap = None
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        tau = self.local(t)
-        v0 = self.start.eval(x)
-        v1 = self.end.eval(x)
+    def eval(self, t, pts) -> np.ndarray:
+        tau = self.local(t)[:, None]
+        v0 = self.start.eval(pts)
+        v1 = self.end.eval_many(pts)
         v = (1.0 - tau) * v0 + tau * v1
         if self.end.project_flag:
-            return self.end.ambient.project(v)
+            return self.end.ambient.project_many(v)
         return v
 
 
@@ -160,9 +162,15 @@ class PerturbStage(Stage):
 
     end: SmoothSimplexMap = None
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        tau = self.local(t)
-        return self.end.with_last_bump_scale(tau).eval(x)
+    def eval(self, t, pts) -> np.ndarray:
+        # the end map with its last bump's scale set to each row's local
+        # time, summed as raw_many sums it
+        *fixed, bump = self.end.bumps
+        ramp = np.outer(self.local(t) * bump.amplitude * bump.rho.eval_many(pts), bump.s)
+        raw = replace(self.end, bumps=tuple(fixed)).raw_many(pts) + ramp
+        if self.end.project_flag:
+            return self.end.ambient.project_many(raw)
+        return raw
 
 
 class ConeStage(Stage):
@@ -181,29 +189,30 @@ class ConeStage(Stage):
         self.face_tracks = face_tracks
         self.n = sigma.dim
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        n = self.n
-        t_a = self.b
-        lam = barycentrics(n, x)
+    def eval(self, t, pts) -> np.ndarray:
+        n, t_a = self.n, self.b
+        lam = barycentrics_many(n, pts)
         lam_c = 1.0 / (n + 1)
-        tau_bottom = 2.0 * t_a / (2.0 * t_a - t)
-        best = tau_bottom
-        side = None
+        # ray parameter of the first hit: the bottom, then each wall in turn
+        best = 2.0 * t_a / (2.0 * t_a - t)
+        side = np.full(len(pts), -1)
         for i in range(n + 1):
-            gap = lam_c - lam[i]
-            if gap > 1e-15:
-                tau_i = lam_c / gap
-                if tau_i < best - 1e-14:
-                    best = tau_i
-                    side = i
-        center = np.full(n, lam_c)
-        hit = center + best * (x - center)
-        if side is None:
-            return self.sigma.eval(collapse_to_simplex(hit.reshape(1, n)))
-        t_side = 2.0 * t_a + best * (t - 2.0 * t_a)
-        t_side = min(max(t_side, 0.0), t_a)
-        w = facet_coordinates(n, side, hit)
-        return self.face_tracks[side].eval(t_side, w)
+            gap = lam_c - lam[:, i]
+            tau_i = np.divide(lam_c, gap, out=np.full(len(pts), np.inf), where=gap > 1e-15)
+            closer = tau_i < best - 1e-14
+            best = np.where(closer, tau_i, best)
+            side[closer] = i
+        hit = lam_c + best[:, None] * (pts - lam_c)
+        out = np.empty((len(pts), self.sigma.ambient.ambient_dim))
+        bottom = side < 0
+        if bottom.any():
+            out[bottom] = self.sigma.eval_many(collapse_to_simplex(hit[bottom]))
+        for i in np.unique(side[~bottom]):
+            rows = side == i
+            t_side = np.clip(2.0 * t_a + best[rows] * (t[rows] - 2.0 * t_a), 0.0, t_a)
+            w = facet_coordinates_many(n, i, hit[rows])
+            out[rows] = self.face_tracks[i].eval(t_side, w)
+        return out
 
 
 class ConeSlice:
@@ -215,8 +224,8 @@ class ConeSlice:
         self.dim = cone.n
         self.ambient = cone.sigma.ambient
 
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        return self.cone.eval(self.cone.b, x)
+    def eval(self, pts) -> np.ndarray:
+        return self.cone.eval(np.full(len(pts), self.cone.b), pts)
 
     def facet_map(self, i: int) -> SmoothSimplexMap:
         return self.cone.face_tracks[i].end_map
@@ -245,12 +254,21 @@ class HomotopyTrack:
     def t_b(self) -> float:
         return 1.0 - 1.0 / (self.dim + 2)
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        t = min(max(t, 0.0), 1.0)
-        for stage in self.stages:
-            if t <= stage.b or stage is self.stages[-1]:
-                return stage.eval(t, x)
-        raise AssertionError("stages do not tile [0,1]")
+    def eval(self, t, pts) -> np.ndarray:
+        """Values at a block of points, at one time or one time per row.
+
+        A row goes to the first stage whose interval ends at or after its
+        time, the last stage taking the rest; each stage evaluates its rows
+        as one block.
+        """
+        pts = point_block(pts, self.dim)
+        t = np.clip(np.broadcast_to(np.asarray(t, dtype=float), len(pts)), 0.0, 1.0)
+        which = np.searchsorted([stage.b for stage in self.stages[:-1]], t)
+        out = np.empty((len(pts), self.end_map.ambient.ambient_dim))
+        for k in np.unique(which):
+            rows = which == k
+            out[rows] = self.stages[k].eval(t[rows], pts[rows])
+        return out
 
     def describe(self) -> dict:
         return {
@@ -273,8 +291,8 @@ class DegenerateTrack(HomotopyTrack):
         self.collapse = collapse
         self._aff = aff
 
-    def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.base.eval(t, self._aff.apply(x))
+    def eval(self, t, pts) -> np.ndarray:
+        return self.base.eval(t, self._aff.apply(pts))
 
     def describe(self) -> dict:
         d = self.base.describe()
@@ -304,13 +322,6 @@ def _constant_key(flat: PolyMap) -> float:
 
 
 _by_constant = operator.itemgetter(0)
-
-
-def _finite_flatten(m: SmoothSimplexMap) -> PolyMap:
-    flat = m.flatten()
-    if not all(np.all(np.isfinite(c)) for c in flat.terms.values()):
-        raise NonFiniteMap(f"a {m.dim}-simplex map has a non-finite coefficient")
-    return flat
 
 
 class FiniteSingularFamily:
@@ -381,7 +392,7 @@ class FiniteSingularFamily:
         ``_find``.  A map with a non-finite coefficient raises
         ``NonFiniteMap``, so it is never indexed.
         """
-        flat = _finite_flatten(m)
+        flat = finite_flatten(m)
         found = self._find(m, flat)
         if found is not None:
             return found
@@ -444,19 +455,16 @@ class FiniteSingularFamily:
         face_tracks = tuple(self.track(self.records[fid]) for fid in rec.faces)
 
         if all(ft.constant for ft in face_tracks):
-            # nothing moves on the boundary: skip the cone, keep the simplex
-            # as its own slice (it is already polynomial)
+            # nothing moves on the boundary: skip the cone, and the simplex,
+            # already polynomial, is its own smoothing
+            smoothed = rec.map
             stage_a: Stage = ConstantStage(0.0, t_a, "boundary_retraction", map=rec.map)
-            slice_map = rec.map
-        else:
-            cone = ConeStage(t_a, rec.map, face_tracks)
-            stage_a = cone
-            slice_map = ConeSlice(cone)
-
-        smoothed, info = smooth_rel_boundary(slice_map, self.smoothing_tol)
-        if info.get("already_polynomial"):
             stage_b: Stage = ConstantStage(t_a, mid, "smoothing", map=smoothed)
         else:
+            cone = ConeStage(t_a, rec.map, face_tracks)
+            slice_map = ConeSlice(cone)
+            smoothed, _ = smooth_rel_boundary(slice_map, self.smoothing_tol)
+            stage_a = cone
             stage_b = SmoothingStage(t_a, mid, "smoothing", start=slice_map, end=smoothed)
 
         interior = is_T_transverse(smoothed, self.members, self.tol_rank,
@@ -492,7 +500,7 @@ class FiniteSingularFamily:
         face_ids = tuple(
             self.retract(self.records[fid]).id for fid in rec.faces
         )
-        flat = _finite_flatten(track.end_map)
+        flat = finite_flatten(track.end_map)
         existing = self._find(track.end_map, flat)
         if existing is not None and existing.faces == face_ids:
             target = existing
@@ -541,9 +549,9 @@ class DiagonalSlice:
         self._aff = realize_morphism(alpha)
         self.dim = alpha.source
 
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        t = float(self._aff.apply(np.asarray(x, dtype=float))[0])
-        return self.track.eval(t, x)
+    def eval(self, pts) -> np.ndarray:
+        pts = point_block(pts, self.dim)
+        return self.track.eval(self._aff.apply(pts)[:, 0], pts)
 
 
 def homotopy_H(fam: FiniteSingularFamily, alpha: DeltaMorphism,
@@ -565,6 +573,18 @@ def homotopy_H(fam: FiniteSingularFamily, alpha: DeltaMorphism,
     return DiagonalSlice(track, alpha, record)
 
 
+def _time_grid(dim: int, times: int, per_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (t, x) pair of ``times`` even times in [0, 1] and the lattice
+    ``simplex_grid(dim, per_dim)``, time-major: one time per row, and the
+    rows' points."""
+    pts = simplex_grid(dim, per_dim)
+    return np.repeat(np.linspace(0.0, 1.0, times), len(pts)), np.tile(pts, (times, 1))
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def verify_naturality(
     fam: FiniteSingularFamily,
     rec: SingularRecord,
@@ -579,26 +599,50 @@ def verify_naturality(
     track_parent = fam.track(rec)
     track_child = fam.track(restricted)
     aff = realize_morphism(beta)
-    pts = simplex_grid(beta.source, _NATURALITY_GRID)
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, _NATURALITY_TIMES):
-        for w in pts:
-            lhs = track_child.eval(float(t), w)
-            rhs = track_parent.eval(float(t), aff.apply(w))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    t, w = _time_grid(beta.source, _CHECK_TIMES, _CHECK_GRID)
+    worst = _max_gap(track_child.eval(t, w), track_parent.eval(t, aff.apply(w)))
     if alpha is not None:
         h_parent = homotopy_H(fam, alpha, rec)
         h_child = homotopy_H(fam, alpha.compose(beta), restricted)
-        for w in pts:
-            lhs = h_child.eval(w)
-            rhs = h_parent.eval(aff.apply(w))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        pts = simplex_grid(beta.source, _CHECK_GRID)
+        worst = max(worst, _max_gap(h_child.eval(pts), h_parent.eval(aff.apply(pts))))
     return worst
+
+
+def verify_track_contracts(fam: FiniteSingularFamily, rec: SingularRecord) -> dict:
+    """Largest deviations of a record's track from its contracts: it starts
+    at the record's map, ends at the retraction's map, is constant on
+    [t_B, 1], and restricts on each facet to that face's track."""
+    track = fam.track(rec)
+    pts = simplex_grid(rec.dim, _CHECK_GRID)
+    start_err = _max_gap(track.eval(0.0, pts), rec.map.eval_many(pts))
+    end_map = fam.retract(rec).map
+    at_end = track.eval(1.0, pts)
+    end_err = _max_gap(at_end, end_map.eval_many(pts))
+    tail = np.linspace(track.t_b, 1.0, 6)
+    const_err = _max_gap(track.eval(np.repeat(tail, len(pts)), np.tile(pts, (6, 1))),
+                         np.tile(at_end, (6, 1)))
+    boundary_err = 0.0
+    if rec.dim > 0:
+        t, w = _time_grid(rec.dim - 1, _CHECK_TIMES, _CHECK_GRID)
+        for i, fid in enumerate(rec.faces):
+            face_track = fam.track(fam.records[fid])
+            aff = realize_morphism(DeltaMorphism.face(i, rec.dim))
+            boundary_err = max(boundary_err,
+                               _max_gap(track.eval(t, aff.apply(w)), face_track.eval(t, w)))
+    return {
+        "record": rec.id,
+        "start_error": start_err,
+        "end_error": end_err,
+        "constancy_error": const_err,
+        "boundary_error": boundary_err,
+    }
 
 
 def export_track_csv(track: HomotopyTrack, path: str) -> None:
     """Dense (t, x, value) slices of one track for external plotting."""
-    pts = simplex_grid(track.dim, _CSV_GRID)
+    t, pts = _time_grid(track.dim, _CSV_TIMES, _CSV_GRID)
+    values = track.eval(t, pts)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = track.dim
@@ -606,9 +650,7 @@ def export_track_csv(track: HomotopyTrack, path: str) -> None:
         writer.writerow(
             ["t"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(ncomp)]
         )
-        for t in np.linspace(0.0, 1.0, _CSV_TIMES):
-            for x in pts:
-                v = track.eval(float(t), x)
-                writer.writerow([f"{t:.12g}"]
-                                + [f"{xi:.12g}" for xi in x]
-                                + [f"{vi:.17g}" for vi in v])
+        for ti, x, v in zip(t, pts, values):
+            writer.writerow([f"{ti:.12g}"]
+                            + [f"{xi:.12g}" for xi in x]
+                            + [f"{vi:.17g}" for vi in v])

@@ -18,34 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import point_block
+
 __all__ = [
     "SimplexDomain",
     "DeltaMorphism",
     "AffineMap",
     "realize_morphism",
-    "barycentrics",
     "barycentrics_many",
     "collapse_to_simplex",
     "face_for_vertices",
-    "facet_coordinates",
+    "facet_coordinates_many",
     "principal_lattice",
     "simplex_grid",
 ]
 
 
-def barycentrics(n: int, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(n)
-    lam = np.empty(n + 1)
-    lam[0] = 1.0 - float(np.sum(x))
-    lam[1:] = x
-    return lam
-
-
 def barycentrics_many(n: int, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    # reshape(-1, 0) cannot infer a row count for the 0-simplex
-    rows = pts.shape[0] if (n == 0 and pts.ndim == 2) else (1 if n == 0 else -1)
-    pts = pts.reshape(rows, n)
+    pts = point_block(pts, n)
     lam = np.empty((pts.shape[0], n + 1))
     lam[:, 0] = 1.0 - pts.sum(axis=1)
     lam[:, 1:] = pts
@@ -129,8 +119,15 @@ class AffineMap:
     matrix: np.ndarray
     offset: np.ndarray
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offset
+    def apply(self, pts) -> np.ndarray:
+        """Images of a block of points, shape (p, target dim).
+
+        One matrix-vector product per row (a stacked matmul), so a row's
+        bits do not depend on the block it is in; a single matrix product
+        over the block would let BLAS sum the rows in another order.
+        """
+        pts = point_block(pts, self.matrix.shape[1])
+        return np.matmul(self.matrix, pts[:, :, None])[:, :, 0] + self.offset
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self o inner."""
@@ -185,20 +182,18 @@ def face_for_vertices(n: int, verts) -> DeltaMorphism:
     return DeltaMorphism(len(verts) - 1, n, verts)
 
 
-def facet_coordinates(n: int, i: int, x) -> np.ndarray:
-    """Chart inverse of the facet inclusion delta_i at a point on that facet.
+def facet_coordinates_many(n: int, i: int, pts) -> np.ndarray:
+    """Chart inverse of the facet inclusion delta_i at a block of points on
+    that facet.
 
     Assumes lambda_i(x) ~ 0; tiny negatives in the remaining barycentrics are
     clipped before renormalizing.
     """
-    lam = barycentrics(n, x)
-    kept = np.delete(lam, i)
-    kept = np.maximum(kept, 0.0)
-    s = kept.sum()
-    if s <= 0.0:
+    kept = np.maximum(np.delete(barycentrics_many(n, pts), i, axis=1), 0.0)
+    total = kept.sum(axis=1)
+    if np.any(total <= 0.0):
         raise ValueError("degenerate facet coordinates")
-    kept /= s
-    return kept[1:].copy()
+    return kept[:, 1:] / total[:, None]
 
 
 def principal_lattice(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:

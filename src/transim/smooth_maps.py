@@ -23,10 +23,11 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .ambient import AmbientManifold
+from .errors import NonFiniteMap
 from .poly import AffineProduct, PolyMap, point_block
 from .simplex_geom import DeltaMorphism, SimplexDomain, realize_morphism
 
-__all__ = ["Bump", "SmoothSimplexMap", "PiecewiseMap", "maps_close"]
+__all__ = ["Bump", "SmoothSimplexMap", "PiecewiseMap", "finite_flatten", "maps_close"]
 
 _OFFSET_SAMPLES = 400  # domain sample of max_raw_offset
 
@@ -126,17 +127,11 @@ class SmoothSimplexMap:
             out = out + b.contribution_many(pts)
         return out
 
-    def raw(self, x) -> np.ndarray:
-        return self.raw_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
     def eval_many(self, pts) -> np.ndarray:
         raw = self.raw_many(pts)
         if self.project_flag:
             return self.ambient.project_many(raw)
         return raw
-
-    def eval(self, x) -> np.ndarray:
-        return self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def jacobian_many(self, pts) -> np.ndarray:
         """Jacobians of the value map, shape (p, N, n)."""
@@ -149,9 +144,6 @@ class SmoothSimplexMap:
             dpi = self.ambient.project_jacobian_many(raw)
             jac = np.einsum("pij,pjk->pik", dpi, jac)
         return jac
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     # -- structure ------------------------------------------------------------------
 
@@ -217,14 +209,24 @@ class PiecewiseMap(Protocol):
 
     Only produced internally (boundary-retraction slices) and by tests; the
     smoothing stage consumes these and returns a single polynomial map.
+    ``eval`` takes a block of points, shape (p, dim), and returns (p, N).
     """
 
     dim: int
     ambient: AmbientManifold
 
-    def eval(self, x) -> np.ndarray: ...
+    def eval(self, pts) -> np.ndarray: ...
 
     def facet_map(self, i: int) -> SmoothSimplexMap: ...
+
+
+def finite_flatten(m: SmoothSimplexMap) -> PolyMap:
+    """``m.flatten()``; raises ``NonFiniteMap`` if a coefficient is NaN or
+    infinite."""
+    flat = m.flatten()
+    if not all(np.all(np.isfinite(c)) for c in flat.terms.values()):
+        raise NonFiniteMap(f"a {m.dim}-simplex map has a non-finite coefficient")
+    return flat
 
 
 def maps_close(a: SmoothSimplexMap, b: SmoothSimplexMap, tol: float = 1e-10) -> bool:

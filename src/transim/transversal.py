@@ -37,7 +37,7 @@ import numpy as np
 from .ambient import AmbientManifold
 from .corner_ext import _bernstein_basis
 from .errors import OutOfTube, RankDrop, TrialsExhausted
-from .poly import PolyMap
+from .poly import PolyMap, point_block
 from .simplex_geom import (
     barycentrics_many,
     collapse_to_simplex,
@@ -46,7 +46,7 @@ from .simplex_geom import (
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap
+from .smooth_maps import SmoothSimplexMap, finite_flatten
 
 __all__ = [
     "CornerManifold",
@@ -167,12 +167,14 @@ class CornerManifold:
             return []
         return [tuple(c) for c in itertools.combinations(range(d + 1), ell)]
 
-    def coorientation_frame(self, z: np.ndarray) -> np.ndarray:
-        """Columns of the normal frame at z; empty (N, 0) if none declared."""
+    def coorientation_frame(self, zs) -> np.ndarray:
+        """Normal frames at a block of points, shape (p, N, codim): the
+        declared fields as columns, none if none are declared."""
         n = self.ambient.ambient_dim
+        zs = point_block(zs, n)
         if not self.coorientation:
-            return np.zeros((n, 0))
-        return np.stack([v.eval(z) for v in self.coorientation], axis=1)
+            return np.zeros((len(zs), n, 0))
+        return np.stack([v.eval_many(zs) for v in self.coorientation], axis=2)
 
 
 @dataclass(frozen=True)
@@ -257,24 +259,30 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
     linearization that vanishes identically (no free coordinates, as on a
     vertex against a point) gives every seed a zero step, so the loop stops.
 
-    The loop also stops at a fixed point: when a step leaves the whole
-    block unchanged bit for bit.  ``linearize`` is a pure function of the
-    iterates, so every later iteration would repeat this one, and running
-    out the iteration budget would return the same pair.  Seeds that stall
-    at a nonzero least-squares residual (a curve that misses a point) end
-    the solve here instead of at ``_MAX_ITERS``.
+    The loop also stops when a step returns the whole block, bit for bit, to
+    an earlier iterate: a fixed point, or a cycle of last-bit changes.
+    ``linearize`` is a pure function of the iterates, so from then on the
+    iterates repeat that cycle, no earlier exit can fire, and running out
+    the iteration budget would return the cycle's iterate at the budget's
+    end with its norms.  That pair is returned at once.  Seeds that stall at
+    a nonzero least-squares residual (a curve that misses a point) end the
+    solve here instead of at ``_MAX_ITERS``.
     """
     u = seeds.copy()
-    for _ in range(_MAX_ITERS):
+    seen: dict[bytes, int] = {}  # iterate bytes -> iteration
+    visited = []  # (iterate, norms) per iteration
+    for it in range(_MAX_ITERS):
         r, j = linearize(u)
         norms = np.max(np.abs(r), axis=1)
         if np.all(norms <= opts.tau_root) or not j.any():
             return u, norms
+        seen[u.tobytes()] = it
+        visited.append((u, norms))
         step = np.einsum("pij,pj->pi", np.linalg.pinv(j), r)
-        nxt = clip(u - step)
-        if nxt.tobytes() == u.tobytes():
-            return u, norms
-        u = nxt
+        u = clip(u - step)
+        first = seen.get(u.tobytes())
+        if first is not None:
+            return visited[first + (_MAX_ITERS - first) % (it + 1 - first)]
     r, _ = linearize(u)
     return u, np.max(np.abs(r), axis=1)
 
@@ -462,42 +470,42 @@ def _solve_descriptor_pair(
     sols, norms = _batched_newton(linearize, seeds, opts, clip)
 
     report = IntersectionReport(cells_used=cells)
-    candidates: list[IntersectionPoint] = []
-    candidate_sols = []
     inside = np.all(barycentrics_many(split, sols[:, :split]) > _OPEN_TOL, axis=1)
-    for sol, norm, ins in zip(sols, norms, inside):
-        if norm > opts.tau_root:
-            # count only failures that stayed in the domain; seeds that wander
-            # off are expected and not evidence of trouble
-            if ins and norm > 1e-6:
-                report.newton_failures += 1
-            continue
-        if not ins:
-            continue
-        w = sol[:split]
-        z = sigma_f.eval(w)
-        if member.kind == LEVEL_SET:
-            if any(h.eval(z)[0] <= _OPEN_TOL
-                   for b, h in enumerate(member.inequalities) if b not in active):
-                continue
-            y = z
-        else:
-            v = sol[split:]
-            if not np.all(barycentrics_many(len(v), v[None, :])[0] > _OPEN_TOL):
-                continue
-            y = aff_m.apply(v)
-        candidates.append(IntersectionPoint(
-            member=member.name, x=aff.apply(w), simplex_vanishing=vanishing,
-            y=y, member_active=active, z=z, residual=float(norm),
-        ))
-        candidate_sols.append(sol)
+    failed = norms > opts.tau_root
+    # count only failures that stayed in the domain; seeds that wander off
+    # are expected and not evidence of trouble
+    report.newton_failures = int(np.count_nonzero(failed & inside & (norms > 1e-6)))
+    converged = inside & ~failed
+    if not converged.any():
+        return report
+    sols, residuals = sols[converged], norms[converged]
+    w = sols[:, :split]
+    z = sigma_f.eval_many(w)
+    if member.kind == LEVEL_SET:
+        open_rows = np.ones(len(sols), dtype=bool)
+        for b, h in enumerate(member.inequalities):
+            if b not in active:
+                open_rows &= ~(h.eval_many(z)[:, 0] <= _OPEN_TOL)
+        y = z
+    else:
+        v = sols[:, split:]
+        open_rows = np.all(barycentrics_many(v.shape[1], v) > _OPEN_TOL, axis=1)
+        y = aff_m.apply(v)
+    x = aff.apply(w)
+    candidates = [
+        IntersectionPoint(member=member.name, x=x[i], simplex_vanishing=vanishing,
+                          y=y[i], member_active=active, z=z[i],
+                          residual=float(residuals[i]))
+        for i in np.flatnonzero(open_rows)
+    ]
+    candidate_sols = sols[open_rows]
 
     # clustered first: the margin is computed once per kept point
     keep = _cluster(candidates)
     report.points = [candidates[i] for i in keep]
     if not keep:
         return report
-    kept_sols = np.array([candidate_sols[i] for i in keep])
+    kept_sols = candidate_sols[keep]
     simplex_jacs = sigma_f.jacobian_many(kept_sols[:, :split])
     if member.kind == LEVEL_SET:
         zs = np.array([p.z for p in report.points])
@@ -525,7 +533,9 @@ def intersection_locus(
 ) -> IntersectionReport:
     """All located intersections between the open depth-k stratum of the
     simplex and the open depth-l stratum of the member, with their spanning
-    margins."""
+    margins.  A map with a NaN or infinite coefficient raises
+    ``NonFiniteMap``: no locus of it means anything."""
+    finite_flatten(sigma)
     n = sigma.dim
     cells = opts.cells_per_dim if cells is None else cells
     report = IntersectionReport(cells_used=cells)
@@ -558,15 +568,6 @@ class TransversalityResult:
     def min_sv(self) -> float:
         svs = [v.min_sv for v in self.verdicts.values()]
         return min(svs) if svs else math.inf
-
-    def witness(self) -> IntersectionPoint | None:
-        worst = None
-        for v in self.verdicts.values():
-            for p in v.report.points:
-                if p.spanning_sv is not None and p.spanning_sv < v.tol_rank:
-                    if worst is None or p.spanning_sv < worst.spanning_sv:
-                        worst = p
-        return worst
 
 
 def _depth_list(sigma: SmoothSimplexMap, simplex_depths) -> list[int]:

@@ -31,6 +31,7 @@ from .retraction import (
     FiniteSingularFamily,
     homotopy_H,
     verify_naturality,
+    verify_track_contracts,
 )
 from .scenarios import (
     longitude_arcs,
@@ -43,7 +44,7 @@ from .scenarios import (
     shifted_longitude_arcs,
     tangent_longitude_arcs,
 )
-from .simplex_geom import DeltaMorphism, barycentrics, realize_morphism, simplex_grid
+from .simplex_geom import DeltaMorphism, barycentrics_many, simplex_grid
 from .smooth_maps import SmoothSimplexMap
 from .transversal import (
     LocusOptions,
@@ -64,9 +65,6 @@ __all__ = [
     "default_battery",
     "sensitivity_entries",
 ]
-
-_CONTRACT_GRID, _CONTRACT_TIMES = 5, 9  # samples of the track contract check
-
 
 @dataclass
 class InvariantResult:
@@ -312,42 +310,6 @@ def check_torus_duality(
     )
 
 
-def _track_contract_errors(fam: FiniteSingularFamily, rec) -> dict:
-    track = fam.track(rec)
-    pts = simplex_grid(rec.dim, _CONTRACT_GRID)
-    start_err = max(
-        float(np.max(np.abs(track.eval(0.0, x) - rec.map.eval(x)))) for x in pts
-    )
-    end_map = fam.retract(rec).map
-    end_err = max(
-        float(np.max(np.abs(track.eval(1.0, x) - end_map.eval(x)))) for x in pts
-    )
-    t_b = track.t_b
-    const_err = 0.0
-    for t in np.linspace(t_b, 1.0, 6):
-        for x in pts:
-            const_err = max(const_err, float(np.max(np.abs(
-                track.eval(float(t), x) - track.eval(1.0, x)
-            ))))
-    boundary_err = 0.0
-    if rec.dim > 0:
-        for i, fid in enumerate(rec.faces):
-            face_track = fam.track(fam.records[fid])
-            aff = realize_morphism(DeltaMorphism.face(i, rec.dim))
-            for t in np.linspace(0.0, 1.0, _CONTRACT_TIMES):
-                for wpt in simplex_grid(rec.dim - 1, _CONTRACT_GRID):
-                    lhs = track.eval(float(t), aff.apply(wpt))
-                    rhs = face_track.eval(float(t), wpt)
-                    boundary_err = max(boundary_err, float(np.max(np.abs(lhs - rhs))))
-    return {
-        "record": rec.id,
-        "start_error": start_err,
-        "end_error": end_err,
-        "constancy_error": const_err,
-        "boundary_error": boundary_err,
-    }
-
-
 def check_retraction_identities(seed: int = 5, tol_rank: float = 1e-6) -> InvariantResult:
     """p o i = id on transverse records, endpoint and constancy contracts of
     every track, and naturality under all face and degeneracy operators in
@@ -397,7 +359,7 @@ def check_retraction_identities(seed: int = 5, tol_rank: float = 1e-6) -> Invari
     worst = {"start_error": 0.0, "end_error": 0.0,
              "constancy_error": 0.0, "boundary_error": 0.0}
     for rec in (rec_tri, rec_edge, rec_cubic, rec_degen):
-        row = _track_contract_errors(fam, rec)
+        row = verify_track_contracts(fam, rec)
         contract_rows.append(row)
         for key in worst:
             worst[key] = max(worst[key], row[key])
@@ -482,9 +444,8 @@ def check_stratum_vacuity(seed: int = 9, tol_rank: float = 1e-6) -> InvariantRes
                 rep = intersection_locus(sigma, k, member, ell)
                 facet_points += len(rep.points)
         interior = intersection_locus(sigma, 0, member, 0)
-        min_bary = math.inf
-        for p in interior.points:
-            min_bary = min(min_bary, float(np.min(barycentrics(sigma.dim, p.x))))
+        lam = barycentrics_many(sigma.dim, np.array([p.x for p in interior.points]))
+        min_bary = float(np.min(lam, initial=math.inf))
         row_ok = facet_points == 0 and (min_bary == math.inf or min_bary >= 1e-6)
         ok = ok and row_ok
         rows.append({

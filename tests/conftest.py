@@ -56,3 +56,18 @@ def edge_triangle(r2):
     return SmoothSimplexMap.affine_from_vertices(
         np.array([[-0.8, 0.0], [0.9, 0.0], [0.1, 1.1]]), r2
     )
+
+
+def _assert_row_invariant(f, pts, rng):
+    """f of a block equals f of a random split of it, part by part, and f of
+    each row alone, bit for bit."""
+    full = f(pts)
+    cuts = np.sort(rng.choice(np.arange(1, len(pts)), size=min(5, len(pts) - 1), replace=False))
+    assert np.array_equal(np.concatenate([f(part) for part in np.split(pts, cuts)]), full)
+    for i in range(len(pts)):
+        assert np.array_equal(f(pts[i:i + 1]), full[i:i + 1])
+
+
+@pytest.fixture
+def assert_row_invariant():
+    return _assert_row_invariant

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -9,7 +8,6 @@ from transim.cochain import (
     CoorientedMember,
     boundary,
     cocycle_check,
-    export_signs_csv,
     iota_W,
     iota_W_chain,
     pullback_evaluate,
@@ -216,23 +214,6 @@ def test_cocycle_requires_one_extra_dimension(crossing_triangle):
     rec = fam.add(crossing_triangle)
     with pytest.raises(ValueError):
         cocycle_check(CoorientedMember(origin_member()), rec, fam, opts=_OPTS)
-
-
-def test_export_signs_csv(tmp_path, crossing_triangle):
-    from transim.transversal import is_transverse_pair
-
-    w = CoorientedMember(origin_member())
-    iota_W(w, crossing_triangle, opts=_OPTS)
-    verdict = is_transverse_pair(crossing_triangle, origin_member(), opts=_OPTS)
-    for p in verdict.report.points:
-        p.sign = 1
-    path = tmp_path / "signs.csv"
-    export_signs_csv(verdict.report.points, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "member"
-    assert len(rows) == 1 + len(verdict.report.points)
-    assert rows[1][0] == "origin"
 
 
 def test_torus_duality_reports_an_open_chain(monkeypatch):

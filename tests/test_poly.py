@@ -59,8 +59,27 @@ def test_eval_many_and_jac_many_match_per_term_formula(nvars, ncomp, degree, row
         assert np.allclose(got, vals, rtol=1e-13, atol=1e-13)
         assert np.allclose(got_jac, jacs, rtol=1e-13, atol=1e-13)
         for x, v, j in zip(pts, vals, jacs):
-            assert np.allclose(p.eval(x), v, rtol=1e-13, atol=1e-13)
-            assert np.allclose(p.jac(x), j, rtol=1e-13, atol=1e-13)
+            assert np.allclose(p.eval_many(x[None])[0], v, rtol=1e-13, atol=1e-13)
+            assert np.allclose(p.jac_many(x[None])[0], j, rtol=1e-13, atol=1e-13)
+
+
+def test_eval_many_and_jac_many_are_row_invariant(assert_row_invariant):
+    """A row's value and Jacobian have the same bits in any block: the
+    blocks here straddle both ways of summing the terms."""
+    rng = np.random.default_rng(12)
+    for case in range(120):
+        nvars, ncomp = int(rng.integers(0, 5)), int(rng.integers(1, 5))
+        degree = int(rng.integers(0, 6))
+        if case % 10 == 0:
+            p = PolyMap.zero(nvars, ncomp)
+        else:
+            exps = monomial_exponents(nvars, degree)
+            keep = rng.random(len(exps)) < 0.6
+            p = PolyMap(nvars, ncomp, {e: rng.uniform(-2, 2, ncomp)
+                                       for e, k in zip(exps, keep) if k})
+        pts = rng.uniform(-1.5, 1.5, (int(rng.integers(2, 90)), nvars))
+        assert_row_invariant(p.eval_many, pts, rng)
+        assert_row_invariant(p.jac_many, pts, rng)
 
 
 def test_evaluation_leaves_algebra_unchanged():
@@ -91,11 +110,11 @@ def test_jac_matches_central_differences():
     p = _random_poly(rng, 3, 2, 3)
     h = 1e-6
     for x in rng.uniform(-0.5, 0.5, (5, 3)):
-        j = p.jac(x)
+        j = p.jac_many(x[None])[0]
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (p.eval(x + e) - p.eval(x - e)) / (2 * h)
+            fd = (p.eval_many(x + e)[0] - p.eval_many(x - e)[0]) / (2 * h)
             assert np.allclose(j[:, k], fd, atol=1e-7)
 
 
@@ -122,7 +141,7 @@ def test_compose_affine_is_exact_substitution():
     comp = p.compose_affine(mat, off)
     assert comp.nvars == 2
     for y in rng.uniform(-1, 1, (15, 2)):
-        assert np.allclose(comp.eval(y), p.eval(mat @ y + off), atol=1e-13)
+        assert np.allclose(comp.eval_many(y)[0], p.eval_many(mat @ y + off)[0], atol=1e-13)
 
 
 def test_compose_affine_identity_is_noop():
@@ -141,10 +160,10 @@ def test_total_degree_and_component():
 
 def test_barycentric_product_vanishes_on_facets_exactly():
     rho = AffineProduct.barycentric(2)
-    assert rho.eval([0.0, 0.3]) == 0.0
-    assert rho.eval([0.3, 0.0]) == 0.0
-    assert rho.eval([0.25, 0.75]) == 0.0  # lambda_0 = 0
-    assert rho.eval([0.25, 0.25]) > 0.0
+    assert rho.eval_many([0.0, 0.3])[0] == 0.0
+    assert rho.eval_many([0.3, 0.0])[0] == 0.0
+    assert rho.eval_many([0.25, 0.75])[0] == 0.0  # lambda_0 = 0
+    assert rho.eval_many([0.25, 0.25])[0] > 0.0
 
 
 def test_barycentric_product_composes_exactly():
@@ -170,7 +189,7 @@ def test_affine_product_expand_and_grad():
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (rho.eval(x + e) - rho.eval(x - e)) / (2 * h)
+            fd = (rho.eval_many(x + e)[0] - rho.eval_many(x - e)[0]) / (2 * h)
             assert abs(g[k] - fd) < 1e-8
 
 

@@ -8,6 +8,7 @@ from transim.ambient import AmbientManifold
 from transim.errors import NonFiniteMap
 from transim.poly import PolyMap, monomial_exponents
 from transim.retraction import (
+    ConstantStage,
     FiniteSingularFamily,
     export_track_csv,
     homotopy_H,
@@ -20,6 +21,7 @@ from transim.scenarios import (
     meridian_member,
     origin_member,
     plane,
+    tangent_longitude_arcs,
 )
 from transim.simplex_geom import DeltaMorphism, SimplexDomain, simplex_grid
 from transim.smooth_maps import SmoothSimplexMap, maps_close
@@ -104,7 +106,7 @@ def test_transverse_record_has_constant_track(crossing_triangle):
     assert out.id == rec.id
     x = np.array([0.2, 0.3])
     for t in (0.0, 0.4, 1.0):
-        assert np.array_equal(track.eval(t, x), crossing_triangle.eval(x))
+        assert np.array_equal(track.eval(t, x), crossing_triangle.eval_many(x))
 
 
 def test_retraction_is_idempotent_with_stable_ids(edge_triangle):
@@ -140,12 +142,22 @@ def test_track_endpoints(edge_triangle):
     rec = fam.add(edge_triangle)
     track = fam.track(rec)
     end = fam.retract(rec)
-    for x in simplex_grid(2, 5):
-        assert np.array_equal(track.eval(0.0, x), edge_triangle.eval(x))
-        assert np.allclose(track.eval(1.0, x), end.map.eval(x), atol=1e-12)
-        # constant tail
-        assert np.array_equal(track.eval(track.t_b, x), track.eval(1.0, x))
-        assert np.array_equal(track.eval(0.9, x), track.eval(1.0, x))
+    pts = simplex_grid(2, 5)
+    assert np.array_equal(track.eval(0.0, pts), edge_triangle.eval_many(pts))
+    assert np.allclose(track.eval(1.0, pts), end.map.eval_many(pts), atol=1e-12)
+    # constant tail
+    assert np.array_equal(track.eval(track.t_b, pts), track.eval(1.0, pts))
+    assert np.array_equal(track.eval(0.9, pts), track.eval(1.0, pts))
+
+
+def test_smoothing_noop_on_polynomial_input():
+    # the tangent longitude is not transverse but its end points are, so no
+    # face track moves: the track skips the cone and smooths nothing
+    fam = _torus_family()
+    rec = fam.add(tangent_longitude_arcs()[0])
+    smoothing = fam.track(rec).stages[1]
+    assert isinstance(smoothing, ConstantStage) and smoothing.kind == "smoothing"
+    assert maps_close(smoothing.map, rec.map)
 
 
 def test_degenerate_track_reuses_base(edge_triangle):
@@ -161,10 +173,33 @@ def test_degenerate_track_reuses_base(edge_triangle):
     aff = realize_morphism(s)
     rng = np.random.default_rng(64)
     for t in (0.0, 0.5, 0.85, 1.0):
-        for x in SimplexDomain(3).random_points(rng, 4):
-            assert np.allclose(
-                track.eval(t, x), base_track.eval(t, aff.apply(x)), atol=1e-14
-            )
+        pts = SimplexDomain(3).random_points(rng, 4)
+        assert np.allclose(track.eval(t, pts), base_track.eval(t, aff.apply(pts)), atol=1e-14)
+
+
+def test_block_track_eval_matches_a_row_by_row_loop(monkeypatch):
+    """Every track of the retraction identity check gives, on a block with
+    one time per row, the bits of evaluating each row alone."""
+    families = []
+
+    class Recorded(FiniteSingularFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            families.append(self)
+
+    monkeypatch.setattr(verify, "FiniteSingularFamily", Recorded)
+    assert verify.check_retraction_identities(5).ok
+    (fam,) = families
+    rng = np.random.default_rng(65)
+    assert any(not track.constant for track in fam.memo.values())
+    for track in fam.memo.values():
+        n = track.dim
+        pts = np.concatenate([simplex_grid(n, 5), SimplexDomain(n).random_points(rng, 20)])
+        ends = [0.0] + [stage.b for stage in track.stages]
+        t = np.where(rng.random(len(pts)) < 0.3, rng.choice(ends, len(pts)),
+                     rng.random(len(pts)))
+        rows = np.concatenate([track.eval(ti, pts[i:i + 1]) for i, ti in enumerate(t)])
+        assert np.array_equal(track.eval(t, pts), rows)
 
 
 def test_naturality_across_faces(edge_triangle):
@@ -186,8 +221,8 @@ def test_homotopy_endpoints_carry_records(edge_triangle):
     assert h0.record is rec
     assert h1.record is fam.retract(rec)
     x = np.array([0.25, 0.25])
-    assert np.array_equal(h0.eval(x), edge_triangle.eval(x))
-    assert np.allclose(h1.eval(x), fam.retract(rec).map.eval(x), atol=1e-12)
+    assert np.array_equal(h0.eval(x), edge_triangle.eval_many(x))
+    assert np.allclose(h1.eval(x), fam.retract(rec).map.eval_many(x), atol=1e-12)
     ramp = homotopy_H(fam, DeltaMorphism(n, 1, (0, 0, 1)), rec)
     assert ramp.record is None
 
@@ -232,7 +267,7 @@ def test_export_track_csv(tmp_path, edge_triangle):
     first = rows[1]
     x = np.array([float(first[1]), float(first[2])])
     v = np.array([float(first[3]), float(first[4])])
-    assert np.allclose(v, track.eval(0.0, x), atol=1e-12)
+    assert np.allclose(v, track.eval(0.0, x)[0], atol=1e-12)
 
 
 def test_family_report_shape(edge_triangle):

@@ -7,10 +7,10 @@ import pytest
 from transim.simplex_geom import (
     DeltaMorphism,
     SimplexDomain,
-    barycentrics,
+    barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
-    facet_coordinates,
+    facet_coordinates_many,
     principal_lattice,
     realize_morphism,
     simplex_grid,
@@ -84,18 +84,24 @@ def test_realization_sends_vertices_to_vertices():
     aff = realize_morphism(beta)
     verts1 = SimplexDomain(1).vertices()
     verts2 = SimplexDomain(2).vertices()
-    for k in range(2):
-        assert np.array_equal(aff.apply(verts1[k]), verts2[beta.values[k]])
+    assert np.array_equal(aff.apply(verts1), verts2[list(beta.values)])
+
+
+def test_realized_morphisms_apply_row_invariantly(assert_row_invariant):
+    rng = np.random.default_rng(17)
+    for src in range(5):
+        for tgt in range(5):
+            for beta in _all_morphisms(src, tgt):
+                pts = rng.uniform(0.0, 1.0, (30, src)) * rng.choice([1e-3, 1.0, 7.0], (30, src))
+                assert_row_invariant(realize_morphism(beta).apply, pts, rng)
 
 
 def test_barycentrics_sum_to_one():
     rng = np.random.default_rng(12)
     for n in (1, 2, 3):
-        pts = SimplexDomain(n).random_points(rng, 10)
-        for x in pts:
-            lam = barycentrics(n, x)
-            assert abs(lam.sum() - 1.0) < 1e-12
-            assert np.all(lam >= -1e-12)
+        lam = barycentrics_many(n, SimplexDomain(n).random_points(rng, 10))
+        assert np.all(np.abs(lam.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(lam >= -1e-12)
 
 
 def test_collapse_is_identity_inside():
@@ -110,8 +116,8 @@ def test_collapse_is_nearest_point():
     grid = simplex_grid(2, 180)
     rng = np.random.default_rng(14)
     zs = rng.uniform(-1.5, 1.5, (12, 2))
-    for z, p in zip(zs, collapse_to_simplex(zs)):
-        lam = barycentrics(2, p)
+    nearest = collapse_to_simplex(zs)
+    for z, p, lam in zip(zs, nearest, barycentrics_many(2, nearest)):
         assert np.all(lam >= -1e-12)
         best = grid[np.argmin(np.linalg.norm(grid - z, axis=1))]
         assert np.linalg.norm(z - p) <= np.linalg.norm(z - best) + 1e-9
@@ -139,9 +145,8 @@ def test_facet_coordinates_inverts_inclusion():
     n = 3
     for i in range(n + 1):
         aff = realize_morphism(DeltaMorphism.face(i, n))
-        for w in SimplexDomain(n - 1).random_points(rng, 6):
-            x = aff.apply(w)
-            assert np.allclose(facet_coordinates(n, i, x), w, atol=1e-12)
+        w = SimplexDomain(n - 1).random_points(rng, 6)
+        assert np.allclose(facet_coordinates_many(n, i, aff.apply(w)), w, atol=1e-12)
 
 
 def test_principal_lattice_counts():

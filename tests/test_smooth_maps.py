@@ -23,8 +23,28 @@ def test_restrict_matches_pointwise_composition(r2):
         beta = DeltaMorphism.face(int(rng.integers(0, n + 1)), n)
         g = f.restrict(beta)
         aff = realize_morphism(beta)
-        for x in SimplexDomain(n - 1).random_points(rng, 6):
-            assert np.allclose(g.eval(x), f.eval(aff.apply(x)), atol=1e-12)
+        pts = SimplexDomain(n - 1).random_points(rng, 6)
+        assert np.allclose(g.eval_many(pts), f.eval_many(aff.apply(pts)), atol=1e-12)
+
+
+def test_simplex_map_evaluation_is_row_invariant(torus, assert_row_invariant):
+    """Values and Jacobians of bump-carrying and of torus-projected maps have
+    the same bits in any block."""
+    rng = np.random.default_rng(38)
+    euclid = AmbientManifold.euclidean(3)
+    on_torus = np.array([0.70710678, 0.0, 0.70710678, 0.0])
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        bumped = _random_map(rng, n, euclid).with_bump(rng.normal(size=3), 0.1)
+        bumped = bumped.with_bump(rng.normal(size=3), 0.05, scale=0.3)
+        wiggle = _random_map(rng, n, torus, degree=2).poly.scale(0.02)
+        projected = SmoothSimplexMap.from_poly(
+            PolyMap.constant(on_torus, n) + wiggle, torus, project=True
+        ).with_bump(rng.normal(size=4), 0.02)
+        pts = SimplexDomain(n).random_points(rng, int(rng.integers(2, 60)))
+        for f in (bumped, projected):
+            assert_row_invariant(f.eval_many, pts, rng)
+            assert_row_invariant(f.jacobian_many, pts, rng)
 
 
 def test_restrict_functorial(r2):
@@ -46,12 +66,12 @@ def test_jacobian_matches_finite_differences(torus):
     )
     h = 1e-6
     for x in SimplexDomain(2).random_points(rng, 5):
-        jac = f.jacobian(x)
+        jac = f.jacobian_many(x)[0]
         fd = np.zeros_like(jac)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[:, j] = (f.eval(x + e) - f.eval(x - e)) / (2 * h)
+            fd[:, j] = (f.eval_many(x + e)[0] - f.eval_many(x - e)[0]) / (2 * h)
         assert np.max(np.abs(jac - fd)) < 1e-6
 
 
@@ -78,8 +98,8 @@ def test_flatten_equals_raw(r2):
     rng = np.random.default_rng(36)
     f = _random_map(rng, 2, r2).with_bump([0.2, 0.1], amplitude=0.3, scale=0.7)
     flat = f.flatten()
-    for x in SimplexDomain(2).random_points(rng, 10):
-        assert np.allclose(flat.eval(x), f.raw(x), atol=1e-13)
+    pts = SimplexDomain(2).random_points(rng, 10)
+    assert np.allclose(flat.eval_many(pts), f.raw_many(pts), atol=1e-13)
 
 
 def test_degenerate_map_has_vanishing_direction(r2):
@@ -88,7 +108,7 @@ def test_degenerate_map_has_vanishing_direction(r2):
     g = f.restrict(DeltaMorphism.degeneracy(0, 2))
     # s_0 sends (x1, x2) to x2, so g is constant along the x1 axis
     x = np.array([0.3, 0.3])
-    jac = g.jacobian(x)
+    jac = g.jacobian_many(x)[0]
     assert np.linalg.norm(jac @ np.array([1.0, 0.0])) < 1e-12
     assert np.linalg.norm(jac) > 1e-3
 
@@ -97,15 +117,14 @@ def test_affine_from_vertices_hits_vertices(r2):
     images = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     f = SmoothSimplexMap.affine_from_vertices(images, r2)
     verts = SimplexDomain(2).vertices()
-    for k in range(3):
-        assert np.allclose(f.eval(verts[k]), images[k], atol=1e-15)
+    assert np.allclose(f.eval_many(verts), images, atol=1e-15)
 
 
 def test_constant_map_zero_dim(torus):
     p = np.array([0.70710678, 0.0, 0.70710678, 0.0])
     f = SmoothSimplexMap.constant(p, torus, dim=0)
     assert f.dim == 0
-    assert np.allclose(f.eval(np.zeros(0)), p)
+    assert np.allclose(f.eval_many(np.zeros(0))[0], p)
 
 
 def test_projected_values_land_on_manifold(torus):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transim import transversal
-from transim.errors import TrialsExhausted
+from transim.errors import NonFiniteMap, TrialsExhausted
 from transim.poly import PolyMap
 from transim.scenarios import (
     line_member,
@@ -72,7 +72,8 @@ def test_triangle_through_origin_is_transverse(crossing_triangle, origin_collect
 def test_origin_on_open_edge_fails(edge_triangle, origin_collection):
     res = is_T_transverse(edge_triangle, origin_collection, opts=_OPTS)
     assert not res.ok
-    w = res.witness()
+    # the located point with the smallest margin is on the open edge
+    w = min(res.verdicts["origin"].report.points, key=lambda p: p.spanning_sv, default=None)
     assert w is not None
     assert w.simplex_depth == 1
     # an edge plus a point cannot span the plane
@@ -182,10 +183,10 @@ def _reference_margin(sigma, member, p):
     n = sigma.dim
     face = realize_morphism(face_for_vertices(
         n, [i for i in range(n + 1) if i not in p.simplex_vanishing]))
-    simplex_cols = frame.T @ (sigma.jacobian(p.x) @ face.matrix)
+    simplex_cols = frame.T @ (sigma.jacobian_many(p.x)[0] @ face.matrix)
     if member.kind == "level_set":
-        rows = [member.level.jac(p.z)] + [member.inequalities[a].jac(p.z)
-                                          for a in p.member_active]
+        rows = [member.level.jac_many(p.z)[0]] + [member.inequalities[a].jac_many(p.z)[0]
+                                                  for a in p.member_active]
         constraints = np.concatenate(rows, axis=0) @ frame
         _, sv, vh = np.linalg.svd(constraints)
         assert sv[-1] > 1e-7
@@ -195,7 +196,7 @@ def _reference_margin(sigma, member, p):
         gamma = face_for_vertices(d, [i for i in range(d + 1) if i not in p.member_active])
         chart_aff = realize_morphism(gamma)
         v = np.linalg.lstsq(chart_aff.matrix, p.y - chart_aff.offset, rcond=None)[0]
-        member_cols = frame.T @ member.chart.restrict(gamma).jacobian(v)
+        member_cols = frame.T @ member.chart.restrict(gamma).jacobian_many(v)[0]
     cols = np.concatenate([simplex_cols, member_cols], axis=1)
     cols = cols / np.maximum(np.linalg.norm(cols, axis=0), 1e-3)
     m = frame.shape[1]
@@ -350,6 +351,48 @@ def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
     assert edge_exit < edge_budget
 
 
+def _cycling(succ):
+    """A linearization whose Newton step sends the iterate k / 64 to
+    succ[k] / 64 exactly: unit Jacobian, dyadic residual."""
+    def linearize(u):
+        k = np.rint(u[:, 0] * 64).astype(int)
+        return (u[:, 0] - succ[k] / 64)[:, None], np.ones((len(u), 1, 1))
+    return linearize
+
+
+@pytest.mark.parametrize("lengths", [
+    [(0, 2)], [(3, 3)], [(5, 4), (0, 3)], [(1, 7)], [(2, 27)], [(0, 31)], [(28, 2)],
+])
+def test_newton_cycle_exit_returns_the_budget_end(lengths):
+    """Rows that run through a lead-in of a given length into a cycle of a
+    given period: a block that returns to an earlier iterate ends with the
+    iterate and norms that running out the budget reaches."""
+    succ = np.arange(64)
+    seeds = []
+    start = 1
+    for lead, period in lengths:
+        states = np.arange(start, start + lead + period)
+        succ[states[:-1]] = states[1:]
+        succ[states[-1]] = states[lead]
+        seeds.append(start / 64)
+        start += lead + period
+    counts = [0, 0]
+
+    def counting(slot):
+        def lin(u):
+            counts[slot] += 1
+            return _cycling(succ)(u)
+        return lin
+
+    seeds = np.array(seeds)[:, None]
+    got = transversal._batched_newton(counting(0), seeds, _OPTS)
+    ref = _fixed_budget_newton(counting(1), seeds, _OPTS)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    closes = max(lead for lead, _ in lengths) + math.lcm(*(p for _, p in lengths))
+    assert counts == [min(closes, transversal._MAX_ITERS + 1), transversal._MAX_ITERS + 1]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"cells_per_dim": 0}, {"cells_per_dim": -3}, {"cells_per_dim": 8.0},
     {"cells_per_dim": True}, {"tau_root": float("nan")}, {"tau_root": float("inf")},
@@ -499,11 +542,18 @@ def _edges_near_origin(gap):
 def test_edges_within_tau_root_are_never_certified(monkeypatch, gap):
     verdicts, _ = _exclusion_verdicts(monkeypatch)
     for edge in _edges_near_origin(gap):
-        assert abs(edge.eval(np.array([0.4375]))[0]) < 1e-15
+        assert abs(edge.eval_many(np.array([0.4375]))[0, 0]) < 1e-15
         for member in (origin_member(), line_member()):
             verdicts.clear()
             intersection_locus(edge, 0, member, 0)
             assert verdicts == {(member.name, (), (), 8): False}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_locus_of_a_non_finite_map_raises(bad):
+    edge = SmoothSimplexMap.affine_from_vertices(np.array([[-1.0, 0.2], [1.0, bad]]), plane())
+    with pytest.raises(NonFiniteMap):
+        intersection_locus(edge, 0, origin_member(), 0)
 
 
 def test_non_finite_residual_is_never_certified():
