@@ -39,10 +39,6 @@ import numpy as np
 
 __all__ = ["PolyMap", "AffineProduct", "monomial_exponents", "point_block"]
 
-# _sum_terms takes one np.cumsum when a block has more than 3 terms of at
-# most this many elements each, and a loop of adds otherwise (the faster)
-_ACCUMULATE_MAX = 64
-
 
 def point_block(pts, dim: int) -> np.ndarray:
     """View ``pts`` as a (p, dim) float block.
@@ -73,12 +69,9 @@ def monomial_exponents(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
 def _sum_terms(prods: np.ndarray) -> np.ndarray:
     """Sum of a fresh array of per-term products over its first axis, in
     term order, ((t0 + t1) + t2) + ..., elementwise, so no element's bits
-    depend on the others.  ``np.cumsum`` and a loop of in-place adds make
-    the same additions.  No terms sum to zero."""
+    depend on the others.  No terms sum to zero."""
     if not len(prods):
         return np.zeros(prods.shape[1:])
-    if len(prods) > 3 and prods[0].size <= _ACCUMULATE_MAX:
-        return np.cumsum(prods, axis=0)[-1]
     total = prods[0].copy()  # frees the products on return
     for term in prods[1:]:
         total += term

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,14 +163,7 @@ class PerturbStage(Stage):
     end: SmoothSimplexMap = None
 
     def eval(self, t, pts) -> np.ndarray:
-        # the end map with its last bump's scale set to each row's local
-        # time, summed as raw_many sums it
-        *fixed, bump = self.end.bumps
-        ramp = np.outer(self.local(t) * bump.amplitude * bump.rho.eval_many(pts), bump.s)
-        raw = replace(self.end, bumps=tuple(fixed)).raw_many(pts) + ramp
-        if self.end.project_flag:
-            return self.end.ambient.project_many(raw)
-        return raw
+        return self.end.with_last_bump_scale(self.local(t)).eval_many(pts)
 
 
 class ConeStage(Stage):

@@ -34,12 +34,15 @@ _OFFSET_SAMPLES = 400  # domain sample of max_raw_offset
 
 @dataclass(frozen=True)
 class Bump:
-    """One interior perturbation term: scale * amplitude * rho(x) * s."""
+    """One interior perturbation term: scale * amplitude * rho(x) * s.
+
+    ``scale`` is a float, or one value per row of the blocks the bump is
+    evaluated on (a perturbation homotopy ramps it with each row's time)."""
 
     rho: AffineProduct
     s: np.ndarray
     amplitude: float
-    scale: float = 1.0
+    scale: float | np.ndarray = 1.0
     rho_id: str = "bary"
 
     def contribution_many(self, pts) -> np.ndarray:
@@ -47,7 +50,7 @@ class Bump:
         return np.outer(w * self.rho.eval_many(pts), self.s)
 
     def jacobian_many(self, pts) -> np.ndarray:
-        w = self.scale * self.amplitude
+        w = np.reshape(self.scale * self.amplitude, (-1, 1, 1))
         grads = self.rho.grad_many(pts)  # (p, n)
         return w * self.s[None, :, None] * grads[:, None, :]
 
@@ -185,10 +188,13 @@ class SmoothSimplexMap:
         )
         return replace(self, bumps=self.bumps + (bump,))
 
-    def with_last_bump_scale(self, scale: float) -> "SmoothSimplexMap":
+    def with_last_bump_scale(self, scale) -> "SmoothSimplexMap":
+        """The map with its last bump's scale set to ``scale``, a float or
+        one value per row (see ``Bump``)."""
         if not self.bumps:
             raise ValueError("map has no bump to rescale")
-        bumps = self.bumps[:-1] + (replace(self.bumps[-1], scale=float(scale)),)
+        scale = np.asarray(scale, dtype=float) if np.ndim(scale) else float(scale)
+        bumps = self.bumps[:-1] + (replace(self.bumps[-1], scale=scale),)
         return replace(self, bumps=bumps)
 
     # -- checks ------------------------------------------------------------------------

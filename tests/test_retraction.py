@@ -195,9 +195,11 @@ def test_block_track_eval_matches_a_row_by_row_loop(monkeypatch):
     for track in fam.memo.values():
         n = track.dim
         pts = np.concatenate([simplex_grid(n, 5), SimplexDomain(n).random_points(rng, 20)])
-        ends = [0.0] + [stage.b for stage in track.stages]
-        t = np.where(rng.random(len(pts)) < 0.3, rng.choice(ends, len(pts)),
-                     rng.random(len(pts)))
+        # stage ends, and times inside every stage, so each stage gets a block
+        ends = np.array([0.0] + [stage.b for stage in track.stages])
+        k = rng.integers(len(track.stages), size=len(pts))
+        inside = ends[k] + rng.random(len(pts)) * (ends[k + 1] - ends[k])
+        t = np.where(rng.random(len(pts)) < 0.3, rng.choice(ends, len(pts)), inside)
         rows = np.concatenate([track.eval(ti, pts[i:i + 1]) for i, ti in enumerate(t)])
         assert np.array_equal(track.eval(t, pts), rows)
 
