@@ -181,10 +181,13 @@ def report_to_text(report: dict) -> str:
 
 
 class _World:
-    """Materialized config: ambient, members, simplices, lazily built family."""
+    """Materialized config: ambient, members, simplices, lazily built family,
+    and the directory track CSVs go to (none if not asked for)."""
 
-    def __init__(self, cfg: dict, seed: int, tols: dict, max_trials: int):
+    def __init__(self, cfg: dict, seed: int, tols: dict, max_trials: int,
+                 csv_dir: str | None):
         self.cfg = cfg
+        self.csv_dir = csv_dir
         self.seed = seed
         self.tols = tols
         self.max_trials = max_trials
@@ -306,8 +309,7 @@ def _step_perturb(world: _World, expect: dict, errors: list) -> dict:
     return {"rows": rows, "ok": ok}
 
 
-def _step_retract(world: _World, expect: dict, errors: list,
-                  csv_dir: str | None) -> dict:
+def _step_retract(world: _World, expect: dict, errors: list) -> dict:
     fam = world.family()
     rows = []
     ok = True
@@ -329,10 +331,10 @@ def _step_retract(world: _World, expect: dict, errors: list,
             "fixed": image.id == rid,
             "transverse_after": bool(after.ok),
         })
-        if csv_dir is not None:
-            os.makedirs(csv_dir, exist_ok=True)
+        if world.csv_dir is not None:
+            os.makedirs(world.csv_dir, exist_ok=True)
             export_track_csv(
-                fam.track(rec), os.path.join(csv_dir, f"track_{rid}.csv")
+                fam.track(rec), os.path.join(world.csv_dir, f"track_{rid}.csv")
             )
     if expect.get("retract_fixed"):
         ok = ok and all(r.get("fixed") for r in rows)
@@ -417,7 +419,7 @@ def run_scenario(cfg: dict, csv_dir: str | None = None) -> tuple[dict, int]:
     seed = int(cfg["seed"])
     tols = _tolerances(cfg)
     max_trials = int(cfg.get("max_trials", 10))
-    world = _World(cfg, seed, tols, max_trials)
+    world = _World(cfg, seed, tols, max_trials, csv_dir)
     expect = cfg.get("expect", {})
     errors: list[str] = []
     steps: dict = {}
@@ -425,10 +427,7 @@ def run_scenario(cfg: dict, csv_dir: str | None = None) -> tuple[dict, int]:
     overall = True
     for step in cfg.get("steps", []):
         t0 = time.perf_counter()
-        if step == "retract":
-            result = _step_retract(world, expect, errors, csv_dir)
-        else:
-            result = _STEPS[step](world, expect, errors)
+        result = _STEPS[step](world, expect, errors)
         timings[step] = time.perf_counter() - t0
         steps[step] = result
         overall = overall and result["ok"]

@@ -156,26 +156,12 @@ def iota_W(
     complementary dimension it forces every facet locus to be empty, which
     is asserted rather than assumed.
 
-    A record keeps its count for each (w, tol_rank, opts), so a face counted
-    again, as the boundary of a second simplex or in a second pass over the
-    same boundary, is looked up rather than solved again.  The count is a
-    deterministic function of the record's map, so the lookup returns what
-    the solve would.
+    The map keeps the loci it was checked with (see ``intersection_locus``),
+    so a face counted again, as the boundary of a second simplex or in a
+    second pass over the same boundary, solves nothing, whether it comes as
+    a record or as a bare map.
     """
-    if not isinstance(rec_or_map, SingularRecord):
-        return _signed_count(w, rec_or_map, tol_rank, opts)
-    # keyed on w's identity (its member is not hashable); the stored w keeps
-    # that identity from being reused
-    key = (id(w), tol_rank, opts)
-    known = rec_or_map.counts.get(key)
-    if known is None or known[0] is not w:
-        known = (w, _signed_count(w, rec_or_map.map, tol_rank, opts))
-        rec_or_map.counts[key] = known
-    return known[1]
-
-
-def _signed_count(w: CoorientedMember, sigma: SmoothSimplexMap, tol_rank: float,
-                  opts: LocusOptions) -> int:
+    sigma = rec_or_map.map if isinstance(rec_or_map, SingularRecord) else rec_or_map
     if sigma.dim != w.codim:
         raise ValueError("iota_W needs dim sigma = codim W")
     verdict = is_transverse_pair(sigma, w.member, tol_rank, None, opts)
@@ -266,50 +252,24 @@ def winding_number(sigma: SmoothSimplexMap) -> int:
     """
     if sigma.dim != 2 or sigma.ambient.ambient_dim != 2:
         raise ValueError("winding oracle works on planar 2-simplices")
+    edges = [sigma.restrict(DeltaMorphism.face(i, 2)) for i in _EDGE_PATH]
     for attempt in range(_MAX_REFINEMENTS):
-        density = _SAMPLES_PER_EDGE * (2 ** attempt)
-        total = 0.0
-        ok = True
-        prev_angle = None
-        ts = np.linspace(0.0, 1.0, density + 1)
-        for leg, edge_index in enumerate(_EDGE_PATH):
-            edge = sigma.restrict(DeltaMorphism.face(edge_index, 2))
-            params = ts if leg != 2 else ts[::-1]
-            pts = edge.eval_many(params[:, None])
-            radii = np.linalg.norm(pts, axis=1)
-            if np.min(radii) < 1e-12:
-                raise NotTransverse("boundary loop passes through the origin")
-            angles = np.arctan2(pts[:, 1], pts[:, 0])
-            start = 0 if prev_angle is None else 1
-            if prev_angle is not None:
-                step = _wrap(angles[0] - prev_angle)
-                if abs(step) > math.pi / 2:
-                    ok = False
-                    break
-                total += step
-            for i in range(1, len(angles)):
-                step = _wrap(angles[i] - angles[i - 1])
-                if abs(step) > math.pi / 2:
-                    ok = False
-                    break
-                total += step
-            if not ok:
-                break
-            prev_angle = angles[-1]
-        if ok:
-            rounds = total / (2.0 * math.pi)
-            nearest = round(rounds)
-            if abs(rounds - nearest) > 1e-6:
-                raise NotTransverse(
-                    f"winding total {rounds:.6f} is not close to an integer"
-                )
-            return int(nearest)
+        ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE * (2 ** attempt) + 1)
+        pts = np.concatenate([edge.eval_many((ts[::-1] if leg == 2 else ts)[:, None])
+                              for leg, edge in enumerate(edges)])
+        if np.min(np.linalg.norm(pts, axis=1)) < 1e-12:
+            raise NotTransverse("boundary loop passes through the origin")
+        # consecutive angles differ by at most 2 pi: one wrap into [-pi, pi]
+        steps = np.diff(np.arctan2(pts[:, 1], pts[:, 0]))
+        steps = np.where(steps > math.pi, steps - 2.0 * math.pi,
+                         np.where(steps < -math.pi, steps + 2.0 * math.pi, steps))
+        if np.any(np.abs(steps) > math.pi / 2):
+            continue
+        rounds = float(np.sum(steps)) / (2.0 * math.pi)
+        nearest = round(rounds)
+        if abs(rounds - nearest) > 1e-6:
+            raise NotTransverse(
+                f"winding total {rounds:.6f} is not close to an integer"
+            )
+        return int(nearest)
     raise NotTransverse("winding sampling did not stabilize")
-
-
-def _wrap(angle: float) -> float:
-    while angle > math.pi:
-        angle -= 2.0 * math.pi
-    while angle < -math.pi:
-        angle += 2.0 * math.pi
-    return angle

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class SingularRecord:
     map: SmoothSimplexMap
     status: str
     faces: tuple[str, ...]
-    # signed counts of this map, filled by cochain.iota_W
-    counts: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # -- factorization ------------------------------------------------------------------

@@ -17,7 +17,7 @@ further perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -57,13 +57,19 @@ class Bump:
 
 @dataclass(frozen=True)
 class SmoothSimplexMap:
-    """Polynomial simplex map Delta^n -> M, optionally projected through pi."""
+    """Polynomial simplex map Delta^n -> M, optionally projected through pi.
+
+    ``loci`` holds the stratum loci ``transversal.intersection_locus`` has
+    solved for this map.  It is not an argument: every map, including one
+    made by ``restrict`` or ``dataclasses.replace``, starts with an empty
+    memo."""
 
     domain: SimplexDomain
     ambient: AmbientManifold
     poly: PolyMap
     project_flag: bool = False
     bumps: tuple[Bump, ...] = ()
+    loci: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poly.nvars != self.domain.dim:
@@ -175,16 +181,13 @@ class SmoothSimplexMap:
             tuple(bumps),
         )
 
-    def with_bump(
-        self, s, amplitude: float, scale: float = 1.0, rho_id: str | None = None
-    ) -> "SmoothSimplexMap":
-        rho = AffineProduct.barycentric(self.dim)
+    def with_bump(self, s, amplitude: float, scale: float = 1.0) -> "SmoothSimplexMap":
         bump = Bump(
-            rho=rho,
+            rho=AffineProduct.barycentric(self.dim),
             s=np.asarray(s, dtype=float).reshape(self.ambient.ambient_dim),
             amplitude=float(amplitude),
             scale=float(scale),
-            rho_id=rho_id or f"bary{self.dim}",
+            rho_id=f"bary{self.dim}",
         )
         return replace(self, bumps=self.bumps + (bump,))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -534,20 +534,31 @@ def intersection_locus(
     """All located intersections between the open depth-k stratum of the
     simplex and the open depth-l stratum of the member, with their spanning
     margins.  A map with a NaN or infinite coefficient raises
-    ``NonFiniteMap``: no locus of it means anything."""
-    finite_flatten(sigma)
-    n = sigma.dim
+    ``NonFiniteMap``: no locus of it means anything.
+
+    The locus is a deterministic function of the map, the member, the
+    depths, the cell density and the options, so the map keeps each one it
+    solved in ``sigma.loci`` and a repeated call looks it up.  Every call
+    returns a report of its own, with its own point list; a solve that
+    raises keeps nothing."""
     cells = opts.cells_per_dim if cells is None else cells
-    report = IntersectionReport(cells_used=cells)
-    if simplex_depth > n or member_depth not in member.depths():
-        return report
-    for vanishing in itertools.combinations(range(n + 1), simplex_depth):
-        for active in member.descriptors(member_depth):
-            report.extend(
-                _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
-            )
-    report.points = [report.points[i] for i in _cluster(report.points)]
-    return report
+    # keyed on the member's identity (it is not hashable); the stored member
+    # keeps that identity from being reused
+    key = (simplex_depth, id(member), member_depth, cells, opts)
+    known = sigma.loci.get(key)
+    if known is None or known[0] is not member:
+        finite_flatten(sigma)
+        n = sigma.dim
+        report = IntersectionReport(cells_used=cells)
+        if simplex_depth <= n and member_depth in member.depths():
+            for vanishing in itertools.combinations(range(n + 1), simplex_depth):
+                for active in member.descriptors(member_depth):
+                    report.extend(
+                        _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
+                    )
+            report.points = [report.points[i] for i in _cluster(report.points)]
+        known = sigma.loci[key] = (member, report)
+    return replace(known[1], points=list(known[1].points))
 
 
 @dataclass

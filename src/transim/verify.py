@@ -228,7 +228,7 @@ def check_cocycle_zero(
             wound = winding_number(face.map)
             face_rows.append({"face": i, "iota": iota, "winding": wound})
             ok = ok and iota == wound
-        # the faces keep their counts, so the boundary count solves nothing
+        # the face maps keep their loci, so the boundary count solves nothing
         total = cocycle_check(w, rec, fam, tol_rank, opts)
         ok = ok and total == 0
         rows.append({"simplex": idx, "boundary_count": total, "faces": face_rows})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import transim.cli as cli
+from transim import transversal
 from transim.errors import SchemaError
 from transim.poly import PolyMap
 from transim.scenarios import meridian_member, origin_member, plane
@@ -173,6 +174,24 @@ def test_torus_duality_scenario(tmp_path):
     }
     assert counts == {"longitude": 1, "meridian_cycle": 0, "tangent_longitude": 1}
     assert all(r["boundary_zero"] for r in report["steps"]["duality"]["rows"])
+
+
+def test_torus_duality_report_does_not_depend_on_the_locus_memo(monkeypatch):
+    cfg = cli.load_config(_bundled("torus_duality.json"))
+    remembered, code = cli.run_scenario(cfg)
+    locus = transversal.intersection_locus
+    forgot = []
+
+    def forgetting(sigma, *args):
+        forgot.append(len(sigma.loci))
+        sigma.loci.clear()
+        return locus(sigma, *args)
+
+    monkeypatch.setattr(transversal, "intersection_locus", forgetting)
+    solved, solved_code = cli.run_scenario(cfg)
+    assert any(forgot)  # some calls would have been answered from the memo
+    assert (solved_code, cli.report_to_text(cli.strip_timing_fields(solved))) == (
+        code, cli.report_to_text(cli.strip_timing_fields(remembered)))
 
 
 def test_sensitivity_flags_near_threshold_margins():

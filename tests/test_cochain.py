@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -27,7 +28,7 @@ from transim.scenarios import (
 )
 from transim.smooth_maps import SmoothSimplexMap
 from transim.transversal import CornerManifold, LocusOptions, TCollection
-from transim import cochain, verify
+from transim import transversal, verify
 from transim.verify import check_cocycle_zero
 
 _OPTS = LocusOptions(cells_per_dim=12)
@@ -94,41 +95,59 @@ def test_coorientation_reversal_flips_sign(crossing_triangle):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """The maps iota_W hands to is_transverse_pair, in call order."""
-    maps = []
-    solve = cochain.is_transverse_pair
+    """(map, member) of every face-stratum solve of the locus finder, in
+    call order."""
+    calls = []
+    solve = transversal._solve_descriptor_pair
 
-    def counting(sigma, *args):
-        maps.append(sigma)
-        return solve(sigma, *args)
+    def counting(sigma, member, *args):
+        calls.append((sigma, member))
+        return solve(sigma, member, *args)
 
-    monkeypatch.setattr(cochain, "is_transverse_pair", counting)
-    return maps
+    monkeypatch.setattr(transversal, "_solve_descriptor_pair", counting)
+    return calls
 
 
-def test_a_record_is_counted_once_per_member_and_options(solved, crossing_triangle):
+_TRIANGLE_FACES = 7  # open faces of a 2-simplex: one solve each per member stratum
+
+
+def _count_and_solves(solved, *args, **kwargs):
+    """iota_W's count and the number of face-stratum solves it made."""
+    before = len(solved)
+    return iota_W(*args, **kwargs), len(solved) - before
+
+
+def test_a_record_is_solved_once_per_member_and_options(solved, crossing_triangle):
     rec = _family(origin_member()).add(crossing_triangle)
     w = CoorientedMember(origin_member())
-    assert [iota_W(w, rec, opts=_OPTS) for _ in range(3)] == [1, 1, 1]
-    assert solved == [rec.map]
-    # another member (even an equal one), tolerance or options is solved anew
-    assert iota_W(CoorientedMember(_reversed_origin()), rec, opts=_OPTS) == -1
-    assert iota_W(CoorientedMember(origin_member()), rec, opts=_OPTS) == 1
-    assert iota_W(w, rec, tol_rank=1e-7, opts=_OPTS) == 1
-    assert iota_W(w, rec, opts=LocusOptions(cells_per_dim=8)) == 1
-    assert len(solved) == 5
-    # a bare map is not remembered
-    assert [iota_W(w, crossing_triangle, opts=_OPTS) for _ in range(2)] == [1, 1]
-    assert len(solved) == 7
+    counted = [_count_and_solves(solved, w, rec, opts=_OPTS) for _ in range(3)]
+    assert counted == [(1, _TRIANGLE_FACES), (1, 0), (1, 0)]
+    assert all(sigma is rec.map and member is w.member for sigma, member in solved)
+    # another member (even an equal one) or other options is solved anew
+    assert _count_and_solves(solved, CoorientedMember(_reversed_origin()), rec,
+                             opts=_OPTS) == (-1, _TRIANGLE_FACES)
+    assert _count_and_solves(solved, CoorientedMember(origin_member()), rec,
+                             opts=_OPTS) == (1, _TRIANGLE_FACES)
+    assert _count_and_solves(solved, w, rec,
+                             opts=LocusOptions(cells_per_dim=8)) == (1, _TRIANGLE_FACES)
+    # a locus does not depend on tol_rank, so another tolerance solves nothing
+    assert _count_and_solves(solved, w, rec, tol_rank=1e-7, opts=_OPTS) == (1, 0)
+    # a bare map is remembered too
+    bare = dataclasses.replace(crossing_triangle)
+    assert [_count_and_solves(solved, w, bare, opts=_OPTS) for _ in range(2)] == [
+        (1, _TRIANGLE_FACES), (1, 0)]
 
 
 def test_a_failed_count_is_not_remembered(solved, edge_triangle):
     rec = _family(origin_member()).add(edge_triangle)
     w = CoorientedMember(origin_member())
+    before = len(solved)
     for _ in range(2):
         with pytest.raises(NotTransverse):
             iota_W(w, rec, opts=_OPTS)
-    assert len(solved) == 2 and not rec.counts
+    # the second call raises again, from the loci the first one kept
+    assert len(solved) - before == _TRIANGLE_FACES
+    assert rec.map.loci
 
 
 def test_boundary_then_faces_solves_each_face_once(solved):
@@ -136,11 +155,14 @@ def test_boundary_then_faces_solves_each_face_once(solved):
     fam = _family(member)
     w = CoorientedMember(member)
     rec = fam.add(random_transverse_cubic(np.random.default_rng(74), member, opts=_OPTS))
+    solved.clear()
     assert cocycle_check(w, rec, fam, opts=_OPTS) == 0
     faces = [fam.records[fid] for fid in rec.faces]
+    assert [sigma for sigma, _ in solved] == [
+        face.map for face in faces for _ in range(_TRIANGLE_FACES)]
     counts = [iota_W(w, face, opts=_OPTS) for face in faces]
     assert counts == [winding_number(face.map) for face in faces]
-    assert solved == [face.map for face in faces]
+    assert len(solved) == len(faces) * _TRIANGLE_FACES
 
 
 def test_winding_rejects_center_on_boundary(edge_triangle):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,23 @@ def test_zero_scale_recovers_base(r2):
     bumped = base.with_bump([1.0, 2.0], amplitude=0.5)
     assert maps_close(bumped.with_last_bump_scale(0.0), base)
     assert not maps_close(bumped, base)
+
+
+def test_a_derived_map_starts_with_an_empty_locus_memo(r2):
+    rng = np.random.default_rng(39)
+    f = _random_map(rng, 2, r2).with_bump([0.2, 0.1], amplitude=0.3)
+    f.loci["solved"] = "kept"
+    derived = [
+        f.restrict(DeltaMorphism.face(0, 2)),
+        dataclasses.replace(f),
+        f.with_bump([0.1, -0.3], amplitude=0.2),
+        f.with_last_bump_scale(0.5),
+    ]
+    for g in derived:
+        assert g.loci == {} and g.loci is not f.loci
+    assert f.loci == {"solved": "kept"}
+    # the memo is not part of a map's value
+    assert dataclasses.replace(f) == f and "loci" not in repr(f)
 
 
 def test_flatten_equals_raw(r2):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from transim import transversal
-from transim.errors import NonFiniteMap, TrialsExhausted
+from transim.errors import NonFiniteMap, RankDrop, TrialsExhausted
 from transim.poly import PolyMap
 from transim.scenarios import (
     line_member,
     longitude_arcs,
+    meridian_arcs,
     meridian_member,
     origin_member,
     plane,
@@ -324,6 +326,7 @@ def test_newton_fixed_point_exit_is_bit_identical(monkeypatch):
 
     monkeypatch.setattr(transversal, "_batched_newton", both)
     for sigma, member, opts in cases:
+        sigma = dataclasses.replace(sigma)  # an empty locus memo: every solve runs
         for k in range(sigma.dim + 1):
             for ell in member.depths():
                 intersection_locus(sigma, k, member, ell, opts)
@@ -408,9 +411,16 @@ def test_locus_options_are_validated(kwargs):
 
 
 @pytest.fixture(scope="module")
-def cubics():
+def cubic_maps():
     rng = np.random.default_rng(91)
     return [random_transverse_cubic(rng, origin_member()) for _ in range(20)]
+
+
+@pytest.fixture
+def cubics(cubic_maps):
+    """Fresh copies of the shared cubics: their locus memos are empty, so an
+    instrumented solve runs instead of being looked up."""
+    return [dataclasses.replace(c) for c in cubic_maps]
 
 
 def _exclusion_verdicts(monkeypatch, force_newton=False):
@@ -455,7 +465,7 @@ def test_certified_faces_give_newton_no_candidate(monkeypatch, cubics):
         for sigma in (c, c.restrict(DeltaMorphism.face(0, 3))):
             out = perturb_to_transverse(sigma, TCollection.of(origin), seed=i)
             assert out.sigma_prime.bumps
-            bumped.append(out.sigma_prime)
+            bumped.append(dataclasses.replace(out.sigma_prime))
     verdicts, norms = _exclusion_verdicts(monkeypatch, force_newton=True)
     tau = LocusOptions().tau_root
     certified = {}  # (member, depth, bumped) -> [certified, tested]
@@ -552,8 +562,92 @@ def test_edges_within_tau_root_are_never_certified(monkeypatch, gap):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_locus_of_a_non_finite_map_raises(bad):
     edge = SmoothSimplexMap.affine_from_vertices(np.array([[-1.0, 0.2], [1.0, bad]]), plane())
-    with pytest.raises(NonFiniteMap):
-        intersection_locus(edge, 0, origin_member(), 0)
+    member = origin_member()
+    for _ in range(2):
+        with pytest.raises(NonFiniteMap):
+            intersection_locus(edge, 0, member, 0)
+    assert not edge.loci
+
+
+# -- the locus memo ------------------------------------------------------------------
+
+
+def _bits(report):
+    """Every field of a locus report, with arrays and floats as exact bytes."""
+    def exact(v):
+        return np.asarray(v).tobytes() if isinstance(v, (np.ndarray, float)) else v
+    return (report.newton_failures, report.cells_used,
+            [tuple(exact(v) for v in dataclasses.astuple(p)) for p in report.points])
+
+
+@pytest.fixture
+def face_solves(monkeypatch):
+    """Counts the face-stratum solves of the locus finder."""
+    count = [0]
+    solve = transversal._solve_descriptor_pair
+
+    def counting(*args):
+        count[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(transversal, "_solve_descriptor_pair", counting)
+    return count
+
+
+def test_a_remembered_locus_equals_a_fresh_solve(face_solves):
+    rng = np.random.default_rng(76)
+    origin, meridian = origin_member(), meridian_member()
+    cases = [(random_transverse_cubic(rng, origin, opts=_OPTS), origin) for _ in range(3)]
+    cases += [(arc, meridian) for arcs in (longitude_arcs(), tangent_longitude_arcs(),
+                                            shifted_longitude_arcs(), meridian_arcs())
+              for arc in arcs]
+    located = 0
+    for sigma, member in cases:
+        for k in range(sigma.dim + 1):
+            for ell in member.depths():
+                first = intersection_locus(sigma, k, member, ell, _OPTS)
+                solves = face_solves[0]
+                hit = intersection_locus(sigma, k, member, ell, _OPTS)
+                assert face_solves[0] == solves
+                fresh = intersection_locus(dataclasses.replace(sigma), k, member, ell, _OPTS)
+                assert face_solves[0] > solves
+                assert _bits(hit) == _bits(first) == _bits(fresh)
+                located += len(hit.points)
+    assert located >= 10
+
+
+def test_a_changed_report_leaves_the_memo_unchanged(crossing_triangle):
+    member = origin_member()
+    first = intersection_locus(crossing_triangle, 0, member, 0, _OPTS)
+    expected = _bits(first)
+    assert len(first.points) == 1
+    first.points.clear()
+    first.newton_failures += 5
+    first.extend(intersection_locus(crossing_triangle, 1, member, 0, _OPTS))
+    hit = intersection_locus(crossing_triangle, 0, member, 0, _OPTS)
+    assert _bits(hit) == expected
+    hit.points.append(hit.points[0])
+    assert _bits(intersection_locus(crossing_triangle, 0, member, 0, _OPTS)) == expected
+
+
+def test_a_solve_that_raises_is_not_remembered(monkeypatch, crossing_triangle):
+    member = origin_member()
+    solve = transversal._solve_descriptor_pair
+    raised = []
+
+    def failing_once(*args):
+        if not raised:
+            raised.append(args)
+            raise RankDrop("injected")
+        return solve(*args)
+
+    monkeypatch.setattr(transversal, "_solve_descriptor_pair", failing_once)
+    with pytest.raises(RankDrop):
+        intersection_locus(crossing_triangle, 0, member, 0, _OPTS)
+    assert raised and not crossing_triangle.loci
+    report = intersection_locus(crossing_triangle, 0, member, 0, _OPTS)
+    fresh = intersection_locus(dataclasses.replace(crossing_triangle), 0, member, 0, _OPTS)
+    assert len(report.points) == 1 and _bits(report) == _bits(fresh)
 
 
 def test_non_finite_residual_is_never_certified():
