@@ -25,7 +25,6 @@ from .errors import OutOfTube
 __all__ = ["AmbientManifold"]
 
 _KINDS = ("euclidean", "sphere", "clifford_torus")
-_CONTAINS_TOL = 1e-9
 _TORUS_RADIUS = 1.0 / np.sqrt(2.0)
 
 
@@ -54,18 +53,7 @@ class AmbientManifold:
     def clifford_torus(cls) -> "AmbientManifold":
         return cls("clifford_torus", 4, 2, 0.3)
 
-    # -- membership ------------------------------------------------------------
-
-    def contains(self, z) -> bool:
-        z = np.asarray(z, dtype=float).reshape(self.ambient_dim)
-        if self.kind == "euclidean":
-            return True
-        if self.kind == "sphere":
-            return abs(np.linalg.norm(z) - 1.0) <= _CONTAINS_TOL
-        r1 = np.linalg.norm(z[:2])
-        r2 = np.linalg.norm(z[2:])
-        tol = _CONTAINS_TOL
-        return abs(r1 - _TORUS_RADIUS) <= tol and abs(r2 - _TORUS_RADIUS) <= tol
+    # -- distance ----------------------------------------------------------------
 
     def distance(self, z) -> float:
         """Exact distance to M."""

@@ -190,8 +190,7 @@ def iota_W(
                 f"counted point sits {lam_min:.3e} from the boundary; "
                 "complementary-dimension interiority is violated"
             )
-        p.sign = _point_sign(sigma, p, normals, jac)
-        total += p.sign
+        total += _point_sign(sigma, p, normals, jac)
     return total
 
 

@@ -8,6 +8,19 @@ works on it.  Composition with affine maps is carried out symbolically
 face is exact up to floating point arithmetic on the coefficients; no
 sampling or refitting is involved.
 
+Every product goes through one kernel, ``_product``, on plain term dicts.
+``__mul__`` is one kernel call and one ``PolyMap``.  ``compose_affine``
+keeps each linear form x_i, each power x_i^k = x_i^(k-1) * x_i and each
+monomial as a term dict of floats and builds one ``PolyMap``, its result.
+The coefficient bits depend on the order of the sums, so the order is fixed:
+(1) a partial product has its keys sorted and its exact zeros (-0.0 too)
+dropped, since that sets the iteration order of the next product; (2) the
+substituted monomials are summed in source-term order, and the first
+contribution to a key is assigned, not added to 0.0, so a -0.0 survives;
+(3) a monomial scales a source coefficient vector by a plain float; (4) a
+product iterates the left factor's terms first, whichever factor is the
+scalar.  So a face's coefficients do not depend on who restricts it.
+
 Evaluation arrays (an exponent matrix, the coefficient matrix and the
 derivative weights) are derived from ``terms`` on a map's first evaluation
 and kept read-only.  Evaluation takes a block of points, values or
@@ -32,8 +45,10 @@ zero on every facet where one of its factors vanishes identically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -76,6 +91,26 @@ def _sum_terms(prods: np.ndarray) -> np.ndarray:
     for term in prods[1:]:
         total += term
     return total
+
+
+def _product(left: dict, right: dict, out: dict | None = None) -> dict:
+    """Raw product of two term dicts, summed into ``out`` (a new dict by
+    default) in ``left``'s term order, then ``right``'s, with the first
+    contribution to an exponent assigned.  Values are floats or coefficient
+    vectors (a scalar factor's broadcast).  Unsorted, zeros kept."""
+    out = {} if out is None else out
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc = out.get(e)
+            out[e] = c1 * c2 if acc is None else acc + c1 * c2
+    return out
+
+
+def _canonical(terms: dict) -> dict:
+    """A scalar term dict of floats in a PolyMap's form: keys sorted, exact
+    zeros (-0.0 too) dropped."""
+    return {e: terms[e] for e in sorted(terms) if terms[e] != 0.0}
 
 
 class PolyMap:
@@ -217,24 +252,8 @@ class PolyMap:
             raise ValueError("variable count mismatch in product")
         if self.ncomp != 1 and other.ncomp != 1:
             raise ValueError("one factor must be scalar")
-        ncomp = max(self.ncomp, other.ncomp)
-        terms: dict[tuple[int, ...], np.ndarray] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                contrib = (c1[0] * c2) if self.ncomp == 1 else (c2[0] * c1)
-                if e in terms:
-                    terms[e] = terms[e] + contrib
-                else:
-                    terms[e] = contrib.copy()
-        return PolyMap(self.nvars, ncomp, terms)
-
-    def component(self, i: int) -> "PolyMap":
-        terms = {}
-        for e, c in self.terms.items():
-            if c[i] != 0.0:
-                terms[e] = np.array([c[i]])
-        return PolyMap(self.nvars, 1, terms)
+        return PolyMap(self.nvars, max(self.ncomp, other.ncomp),
+                       _product(self.terms, other.terms))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -256,42 +275,21 @@ class PolyMap:
         if offset.shape[0] != self.nvars:
             raise ValueError("affine offset shape mismatch")
         new_n = matrix.shape[1]
-
-        lin = []
-        for i in range(self.nvars):
-            t = {}
-            if offset[i] != 0.0:
-                t[(0,) * new_n] = np.array([offset[i]])
-            for j in range(new_n):
-                if matrix[i, j] != 0.0:
-                    exp = [0] * new_n
-                    exp[j] = 1
-                    t[tuple(exp)] = np.array([matrix[i, j]])
-            lin.append(PolyMap(new_n, 1, t))
-
-        one = PolyMap.constant(np.array([1.0]), new_n)
-        pow_cache: dict[tuple[int, int], PolyMap] = {}
-
-        def lpow(i: int, e: int) -> PolyMap:
-            if e == 0:
-                return one
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = lin[i] if e == 1 else lpow(i, e - 1) * lin[i]
-            return pow_cache[key]
-
+        zero = (0,) * new_n
+        units = [tuple(row) for row in np.eye(new_n, dtype=int).tolist()]
+        # powers[i][k - 1] = x_i^k, with x_i = sum_j matrix[i, j] y_j +
+        # offset[i] and x_i^k = x_i^(k-1) * x_i, as scalar term dicts of floats
+        powers = []
+        for row, b, exps in zip(matrix.tolist(), offset.tolist(), zip(*self.terms)):
+            x = _canonical({zero: b, **dict(zip(units, row))})
+            powers.append([x])
+            for _ in range(1, max(exps)):
+                powers[-1].append(_canonical(_product(powers[-1][-1], x)))
         out: dict[tuple[int, ...], np.ndarray] = {}
         for exp, coef in self.terms.items():
-            mono = one
-            for i, e in enumerate(exp):
-                if e:
-                    mono = mono * lpow(i, e)
-            for me, mc in mono.terms.items():
-                acc = out.get(me)
-                if acc is None:
-                    out[me] = mc[0] * coef
-                else:
-                    out[me] = acc + mc[0] * coef
+            factors = [row[e - 1] for row, e in zip(powers, exp) if e] or [{zero: 1.0}]
+            mono = functools.reduce(lambda a, b: _canonical(_product(a, b)), factors)
+            _product(mono, {zero: coef}, out)
         return PolyMap(new_n, self.ncomp, out)
 
     # -- comparison and serialization ---------------------------------------

@@ -225,7 +225,6 @@ class IntersectionPoint:
     z: np.ndarray
     residual: float
     spanning_sv: float | None = None
-    sign: int | None = None
 
     @property
     def simplex_depth(self) -> int:

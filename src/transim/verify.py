@@ -417,7 +417,7 @@ def check_retraction_identities(seed: int = 5, tol_rank: float = 1e-6) -> Invari
     )
 
 
-def check_stratum_vacuity(seed: int = 9, tol_rank: float = 1e-6) -> InvariantResult:
+def check_stratum_vacuity(seed: int = 9) -> InvariantResult:
     """Complementary dimension forces empty facet loci: verified on the
     torus longitude against the meridian and on random plane 2-simplices
     against the origin."""
@@ -476,7 +476,7 @@ def default_battery(
         check_corner_extension(seed=seed, count=10 if fast else 50),
         check_perturbation_lemma(seed=42, max_trials=max_trials, tol_rank=tol_rank),
         check_cocycle_zero(seed=seed, count=5 if fast else 50, tol_rank=tol_rank),
-        check_stratum_vacuity(seed=seed, tol_rank=tol_rank),
+        check_stratum_vacuity(seed=seed),
         check_retraction_identities(seed=seed, tol_rank=tol_rank),
         check_torus_duality(seed=seed, tol_rank=tol_rank),
     ]

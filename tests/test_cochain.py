@@ -165,6 +165,25 @@ def test_boundary_then_faces_solves_each_face_once(solved):
     assert len(solved) == len(faces) * _TRIANGLE_FACES
 
 
+def test_counting_leaves_the_kept_points_unchanged(crossing_triangle):
+    """The map's loci are shared with every later caller, so iota_W reads
+    their points and writes none of their fields."""
+    rec = _family(origin_member()).add(crossing_triangle)
+    w = CoorientedMember(origin_member())
+    assert transversal.is_transverse_pair(rec.map, w.member, 1e-6, None, _OPTS).ok
+    points = [p for _, report in rec.map.loci.values() for p in report.points]
+    assert points
+    before = [dataclasses.astuple(p) for p in points]
+    assert [iota_W(w, rec, opts=_OPTS) for _ in range(2)] == [1, 1]
+    for p, fields in zip(points, before):
+        for name, old, new in zip([f.name for f in dataclasses.fields(p)], fields,
+                                  dataclasses.astuple(p)):
+            if isinstance(old, np.ndarray):
+                assert old.tobytes() == new.tobytes(), name
+            else:
+                assert old == new, name
+
+
 def test_winding_rejects_center_on_boundary(edge_triangle):
     with pytest.raises(NotTransverse):
         winding_number(edge_triangle)

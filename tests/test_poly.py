@@ -82,27 +82,116 @@ def test_eval_many_and_jac_many_are_row_invariant(assert_row_invariant):
         assert_row_invariant(p.jac_many, pts, rng)
 
 
+def _reference_mul(a, b):
+    """``PolyMap.__mul__`` as a term-by-term loop over PolyMaps: the code the
+    product kernel replaced, kept as the reference for its bits."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            contrib = (c1[0] * c2) if a.ncomp == 1 else (c2[0] * c1)
+            if e in terms:
+                terms[e] = terms[e] + contrib
+            else:
+                terms[e] = contrib.copy()
+    return PolyMap(a.nvars, max(a.ncomp, b.ncomp), terms)
+
+
+def _reference_compose(p, matrix, offset):
+    """``PolyMap.compose_affine`` with every partial product a PolyMap: the
+    code the product kernel replaced, kept as the reference for its bits."""
+    matrix = np.asarray(matrix, dtype=float)
+    offset = np.asarray(offset, dtype=float).reshape(-1)
+    new_n = matrix.shape[1]
+    lin = []
+    for i in range(p.nvars):
+        t = {}
+        if offset[i] != 0.0:
+            t[(0,) * new_n] = np.array([offset[i]])
+        for j in range(new_n):
+            if matrix[i, j] != 0.0:
+                exp = [0] * new_n
+                exp[j] = 1
+                t[tuple(exp)] = np.array([matrix[i, j]])
+        lin.append(PolyMap(new_n, 1, t))
+    one = PolyMap.constant(np.array([1.0]), new_n)
+    pow_cache = {}
+
+    def lpow(i, e):
+        if e == 0:
+            return one
+        if (i, e) not in pow_cache:
+            pow_cache[i, e] = lin[i] if e == 1 else _reference_mul(lpow(i, e - 1), lin[i])
+        return pow_cache[i, e]
+
+    out = {}
+    for exp, coef in p.terms.items():
+        mono = one
+        for i, e in enumerate(exp):
+            if e:
+                mono = _reference_mul(mono, lpow(i, e))
+        for me, mc in mono.terms.items():
+            acc = out.get(me)
+            out[me] = mc[0] * coef if acc is None else acc + mc[0] * coef
+    return PolyMap(new_n, p.ncomp, out)
+
+
+def _coefficients(rng, shape):
+    """Floats, dyadic values that cancel exactly, and -0.0 entries."""
+    vals = np.where(rng.random(shape) < 0.5, rng.uniform(-1, 1, shape),
+                    rng.choice([-1.0, -0.5, 0.5, 1.0], shape))
+    return np.where(rng.random(shape) < 0.2, -0.0, vals)
+
+
+def _algebra_cases(rng, count):
+    """(vector map, scalar map, matrix, offset): 0-4 variables, degrees 0-5,
+    1-3 components; 0/+-1 matrices with 0/1 offsets (faces and
+    degeneracies), float matrices (sub-arcs), sparse matrices with zero
+    offsets, and 0-variable targets."""
+    for case in range(count):
+        nvars, ncomp = int(rng.integers(0, 5)), int(rng.integers(1, 4))
+        polys = []
+        for comps, degree in ((ncomp, int(rng.integers(0, 6))), (1, int(rng.integers(0, 4)))):
+            exps = [e for e in monomial_exponents(nvars, degree) if rng.random() < 0.7]
+            polys.append(PolyMap(nvars, comps, dict(zip(exps, _coefficients(rng, (len(exps), comps))))))
+        new_n = int(rng.integers(0, 4)) if case % 4 != 3 else 0
+        if case % 4 == 0:
+            mat = rng.integers(-1, 2, (nvars, new_n)).astype(float)
+            off = rng.integers(0, 2, nvars).astype(float)
+        elif case % 4 == 2:
+            mat = np.where(rng.random((nvars, new_n)) < 0.4,
+                           rng.uniform(-2, 2, (nvars, new_n)), 0.0)
+            off = np.zeros(nvars)
+        else:
+            mat = rng.uniform(-1, 1, (nvars, new_n))
+            off = rng.uniform(-1, 1, nvars)
+        yield polys[0], polys[1], mat, off
+
+
 def test_evaluation_leaves_algebra_unchanged():
-    """Evaluating a map derives its arrays; sums, products and affine
-    substitution must still give the coefficients of a fresh copy."""
+    """Sums, products (scalar x vector and vector x scalar) and affine
+    substitution give, key for key and bit for bit, what the reference
+    algebra gives on fresh copies, whether or not the maps were evaluated
+    first (evaluation derives arrays from ``terms``).  The term order and
+    every signed zero count: the next product iterates in that order."""
     rng = np.random.default_rng(10)
-    p = _random_poly(rng, 3, 2, 3)
-    s = _random_poly(rng, 3, 1, 2)
-    pts = rng.uniform(-1, 1, (6, 3))
-    mat = rng.uniform(-1, 1, (3, 2))
-    off = rng.uniform(-1, 1, 3)
-
-    def results(a, b):
-        return [a + a, b * a, a.compose_affine(mat, off), b.compose_affine(mat, off)]
-
-    fresh = results(PolyMap(3, 2, p.terms), PolyMap(3, 1, s.terms))
-    for q in (p, s):
-        q.eval_many(pts)
-        q.jac_many(pts)
-    for want, got in zip(fresh, results(p, s)):
-        assert list(got.terms) == list(want.terms)
-        assert got.max_coeff_diff(want) == 0.0
-    assert np.array_equal(p.eval_many(pts), PolyMap(3, 2, p.terms).eval_many(pts))
+    for case, (p, s, mat, off) in enumerate(_algebra_cases(rng, 300)):
+        fresh_p, fresh_s = PolyMap(p.nvars, p.ncomp, p.terms), PolyMap(s.nvars, 1, s.terms)
+        want = [fresh_p + fresh_p, _reference_mul(fresh_s, fresh_p),
+                _reference_mul(fresh_p, fresh_s), _reference_compose(fresh_p, mat, off),
+                _reference_compose(fresh_s, mat, off)]
+        if case % 2:
+            pts = rng.uniform(-1, 1, (6, p.nvars))
+            for q in (p, s):
+                q.eval_many(pts)
+                q.jac_many(pts)
+        got = [p + p, s * p, p * s, p.compose_affine(mat, off), s.compose_affine(mat, off)]
+        for g, w in zip(got, want):
+            assert (g.nvars, g.ncomp) == (w.nvars, w.ncomp)
+            assert list(g.terms) == list(w.terms)
+            assert [c.tobytes() for c in g.terms.values()] == [c.tobytes() for c in w.terms.values()]
+        if case % 2:
+            assert np.array_equal(p.eval_many(pts), fresh_p.eval_many(pts))
 
 
 def test_jac_matches_central_differences():
@@ -151,11 +240,10 @@ def test_compose_affine_identity_is_noop():
     assert p.max_coeff_diff(same) == 0.0
 
 
-def test_total_degree_and_component():
+def test_total_degree():
     p = PolyMap(2, 2, {(0, 0): [1.0, 0.0], (2, 1): [0.0, 3.0]})
     assert p.total_degree() == 3
-    assert p.component(0).total_degree() == 0
-    assert p.component(1).total_degree() == 3
+    assert PolyMap.zero(2, 2).total_degree() == 0
 
 
 def test_barycentric_product_vanishes_on_facets_exactly():
