@@ -48,27 +48,12 @@ _TIMING_KEYS = {"timings", "elapsed_s"}
 # -- serialization -----------------------------------------------------------
 
 
-def poly_to_json(p: PolyMap) -> dict:
-    terms = [
-        {"exp": list(e), "coeff": [float(c) for c in p.terms[e]]}
-        for e in sorted(p.terms)
-    ]
-    return {"nvars": p.nvars, "ncomp": p.ncomp, "terms": terms}
-
-
 def poly_from_json(d: dict) -> PolyMap:
     terms = {
         tuple(int(v) for v in t["exp"]): np.asarray(t["coeff"], dtype=float)
         for t in d["terms"]
     }
     return PolyMap(int(d["nvars"]), int(d["ncomp"]), terms)
-
-
-def simplex_to_json(m: SmoothSimplexMap) -> dict:
-    return {
-        "poly": poly_to_json(m.poly),
-        "project": bool(m.project_flag),
-    }
 
 
 def simplex_from_json(d: dict, ambient: AmbientManifold) -> SmoothSimplexMap:
@@ -103,19 +88,6 @@ def member_from_json(d: dict, ambient: AmbientManifold) -> CornerManifold:
         chart = simplex_from_json(d["chart"], ambient)
         return CornerManifold.parametric(d["name"], chart, coorientation=co)
     raise SchemaError(f"unknown member kind {kind!r}")
-
-
-def member_to_json(m: CornerManifold) -> dict:
-    out: dict = {"name": m.name, "kind": m.kind}
-    if m.coorientation:
-        out["coorientation"] = [poly_to_json(v) for v in m.coorientation]
-    if m.kind == "level_set":
-        out["level"] = poly_to_json(m.level)
-        if m.inequalities:
-            out["inequalities"] = [poly_to_json(h) for h in m.inequalities]
-    else:
-        out["chart"] = simplex_to_json(m.chart)
-    return out
 
 
 # -- config loading ----------------------------------------------------------

@@ -48,6 +48,9 @@ __all__ = [
 
 _DEGREE_CAP = 6
 _COMPAT_TOL = 1e-9  # facet data may disagree this much at a shared lattice node
+_WALL_TOL = 1e-10  # wall data may disagree this much on a wall intersection
+_COMPAT_GRID = 5  # grid points per coordinate of the wall-intersection check
+_IDENTITY_GRID = 11  # grid points per coordinate of the restriction check
 
 
 @dataclass(frozen=True)
@@ -103,25 +106,25 @@ def _wall_grid(n: int, k: int, zeros: tuple[int, ...], per_dim: int) -> np.ndarr
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def check_compatibility(data: CornerData, tol: float = 1e-10, per_dim: int = 5) -> float:
+def check_compatibility(data: CornerData) -> float:
     """Pairwise agreement of the face data on all wall intersections."""
     worst = 0.0
     for a in range(data.k):
         for b in range(a + 1, data.k):
-            grid = _wall_grid(data.n, data.k, (a, b), per_dim)
+            grid = _wall_grid(data.n, data.k, (a, b), _COMPAT_GRID)
             va = data.faces[a].eval_many(grid)
             vb = data.faces[b].eval_many(grid)
             worst = max(worst, float(np.max(np.abs(va - vb))))
-    if worst > tol:
+    if worst > _WALL_TOL:
         raise IncompatibleFaces(
             f"face data disagree by {worst:.3e} on a wall intersection"
         )
     return worst
 
 
-def extend_from_corner(data: CornerData, tol: float = 1e-10) -> PolyMap:
+def extend_from_corner(data: CornerData) -> PolyMap:
     """Inclusion-exclusion extension of compatible wall data."""
-    check_compatibility(data, tol)
+    check_compatibility(data)
     n, k = data.n, data.k
     total = PolyMap.zero(n, 1)
     for mask in range(1, 1 << k):
@@ -134,11 +137,9 @@ def extend_from_corner(data: CornerData, tol: float = 1e-10) -> PolyMap:
     return total
 
 
-def verify_restriction_identity(
-    data: CornerData, extension: PolyMap, wall: int, per_dim: int = 11
-) -> float:
+def verify_restriction_identity(data: CornerData, extension: PolyMap, wall: int) -> float:
     """Max |F - f_wall| over a grid on W_wall inside the chart."""
-    grid = _wall_grid(data.n, data.k, (wall,), per_dim)
+    grid = _wall_grid(data.n, data.k, (wall,), _IDENTITY_GRID)
     return float(
         np.max(np.abs(extension.eval_many(grid) - data.faces[wall].eval_many(grid)))
     )

@@ -9,9 +9,9 @@ face is exact up to floating point arithmetic on the coefficients; no
 sampling or refitting is involved.
 
 Every product goes through one kernel, ``_product``, on plain term dicts.
-``__mul__`` is one kernel call and one ``PolyMap``.  ``compose_affine``
-keeps each linear form x_i, each power x_i^k = x_i^(k-1) * x_i and each
-monomial as a term dict of floats and builds one ``PolyMap``, its result.
+``__mul__`` is one kernel call and one ``PolyMap``.  ``_substitute`` keeps
+each x_i (an affine row for ``compose_affine``, or any polynomial), each
+power x_i^k = x_i^(k-1) * x_i and each monomial as a term dict of floats.
 The coefficient bits depend on the order of the sums, so the order is fixed:
 (1) a partial product has its keys sorted and its exact zeros (-0.0 too)
 dropped, since that sets the iteration order of the next product; (2) the
@@ -111,6 +111,23 @@ def _canonical(terms: dict) -> dict:
     """A scalar term dict of floats in a PolyMap's form: keys sorted, exact
     zeros (-0.0 too) dropped."""
     return {e: terms[e] for e in sorted(terms) if terms[e] != 0.0}
+
+
+def _substitute(terms: dict, xs: list[dict], nvars: int) -> dict:
+    """Raw term dict of ``terms`` at x_i = xs[i], scalar term dicts of floats
+    in ``nvars`` variables, summed in source-term order."""
+    zero = (0,) * nvars
+    powers = []
+    for x, exps in zip(map(_canonical, xs), zip(*terms)):
+        powers.append([x])
+        for _ in range(1, max(exps)):
+            powers[-1].append(_canonical(_product(powers[-1][-1], x)))
+    out: dict[tuple[int, ...], np.ndarray] = {}
+    for exp, coef in terms.items():
+        factors = [row[e - 1] for row, e in zip(powers, exp) if e] or [{zero: 1.0}]
+        mono = functools.reduce(lambda a, b: _canonical(_product(a, b)), factors)
+        _product(mono, {zero: coef}, out)
+    return out
 
 
 class PolyMap:
@@ -275,22 +292,10 @@ class PolyMap:
         if offset.shape[0] != self.nvars:
             raise ValueError("affine offset shape mismatch")
         new_n = matrix.shape[1]
-        zero = (0,) * new_n
         units = [tuple(row) for row in np.eye(new_n, dtype=int).tolist()]
-        # powers[i][k - 1] = x_i^k, with x_i = sum_j matrix[i, j] y_j +
-        # offset[i] and x_i^k = x_i^(k-1) * x_i, as scalar term dicts of floats
-        powers = []
-        for row, b, exps in zip(matrix.tolist(), offset.tolist(), zip(*self.terms)):
-            x = _canonical({zero: b, **dict(zip(units, row))})
-            powers.append([x])
-            for _ in range(1, max(exps)):
-                powers[-1].append(_canonical(_product(powers[-1][-1], x)))
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for exp, coef in self.terms.items():
-            factors = [row[e - 1] for row, e in zip(powers, exp) if e] or [{zero: 1.0}]
-            mono = functools.reduce(lambda a, b: _canonical(_product(a, b)), factors)
-            _product(mono, {zero: coef}, out)
-        return PolyMap(new_n, self.ncomp, out)
+        xs = [{(0,) * new_n: b, **dict(zip(units, row))}
+              for row, b in zip(matrix.tolist(), offset.tolist())]
+        return PolyMap(new_n, self.ncomp, _substitute(self.terms, xs, new_n))
 
     # -- comparison and serialization ---------------------------------------
 

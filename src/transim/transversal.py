@@ -15,19 +15,20 @@ the stratum's constraints or chart coordinates that the solve already
 holds.
 
 Where the face residual is a polynomial (an unprojected simplex map against
-a level-set member), a Bernstein exclusion test runs first: if the convex
-hull of the residual's control points, on the face or on each piece of a
-few bisections, stays a margin away from zero, the face is certified
-root-free and Newton is skipped.  Skipping changes no output: Newton keeps a
-point only where the evaluated residual is within ``tau_root``, which the
-margin rules out on the whole closed face.  Located points are still
-numerical: completeness elsewhere is heuristic and is guarded by the
-density escalation in ``is_transverse_pair``, so a verdict with points is a
-numerical statement about them, not a certificate.
+a level-set member), a Bernstein exclusion test runs first.  It certifies
+that Newton's float residual stays above ``tau_root`` in max norm on the
+whole closed face, so Newton, which would keep no point there, is skipped.
+Its control points come from the coefficients of r = e o flatten(sigma_f),
+and its allowance for rounding is derived: Higham's gamma_n times a bound
+from the coefficients' magnitudes (see ``_control_points``).  Located
+points are still numerical: completeness elsewhere is heuristic and is
+guarded by the density escalation in ``is_transverse_pair``, so a verdict
+with points is a numerical statement about them, not a certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -35,14 +36,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ambient import AmbientManifold
-from .corner_ext import _bernstein_basis
 from .errors import OutOfTube, RankDrop, TrialsExhausted
-from .poly import PolyMap, point_block
+from .poly import PolyMap, _substitute, monomial_exponents, point_block
 from .simplex_geom import (
     barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
-    principal_lattice,
     realize_morphism,
     simplex_grid,
 )
@@ -72,7 +71,6 @@ _CLUSTER_RADIUS = 1e-6  # located points closer than this are one point
 _OPEN_TOL = 1e-9  # barycentric / inequality margin of an open stratum
 _MAX_ITERS = 30  # most Gauss-Newton iterations per solve
 _EXCLUSION_DEPTH = 6  # bisection levels of the root-free test
-_EXCLUSION_ROUNDING = 1e-9  # rounding allowance of the root-free margin, relative
 
 
 @dataclass(frozen=True)
@@ -286,25 +284,75 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
     return u, np.max(np.abs(r), axis=1)
 
 
-_control_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-def _control_map(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The order-``degree`` principal lattice of Delta^k, the matrix taking
-    values there to Bernstein control points, and its infinity norm."""
-    key = (k, degree)
-    if key not in _control_cache:
-        lattice = principal_lattice(k, degree)[0]
-        vand = np.stack([b.eval_many(lattice)[:, 0] for b in _bernstein_basis(k, degree)],
-                        axis=1)
-        inv = np.linalg.inv(vand)
-        _control_cache[key] = (lattice, inv, float(np.max(np.sum(np.abs(inv), axis=1))))
-    return _control_cache[key]
+@functools.cache
+def _bernstein(k: int, degree: int):
+    """Row of each exponent a of ``monomial_exponents(k, degree)``, M[a, b] =
+    prod_i perm(a_i, b_i) / perm(degree, |b|) taking coefficients to control
+    points on Delta^k (Farouki 2012), and the de Casteljau matrices of the
+    halves at vertex i (side 0) and j of edge (i, j), a_0 = degree - |a|."""
+    exps = monomial_exponents(k, degree)
+    row = {a: r for r, a in enumerate(exps)}
+    to_bernstein = np.array([[math.prod(map(math.perm, a, b)) / math.perm(degree, sum(b))
+                              for b in exps] for a in exps])
+    halves = np.zeros((k + 1, k + 1, 2, len(exps), len(exps)))
+    for (i, j), (r, a) in itertools.product(itertools.combinations(range(k + 1), 2),
+                                            enumerate(exps)):
+        full = [degree - sum(a), *a]
+        s, t = full[i] + full[j], full[j]  # the fibre's degree, a's place on it
+        for q in range(s + 1):
+            full[i], full[j] = s - q, q
+            halves[i, j, :, r, row[tuple(full[1:])]] = (
+                math.comb(t, q) / 2**t, math.comb(s - t, q - t) / 2**(s - t) if q >= t else 0)
+    to_bernstein.flags.writeable = halves.flags.writeable = False  # shared by every caller
+    return row, to_bernstein, halves
 
 
-def _bisect(pieces: np.ndarray) -> np.ndarray:
+def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
+    """Control points of that degree of r = e o flatten(sigma_f) on the face,
+    shape (nb, c), and ``error``, bounding the rounding of each one, of d.b
+    per unit of |d|_1 and of Newton's value of each r_i.
+
+    Built from the stored data by + and *, a value is within gamma_h X of its
+    exact value, X the same expression on absolute values and h the roundings
+    on its longest path, a product adding its operands' counts (Higham,
+    Accuracy and Stability, 3.1, Lemma 3.3).  A dict or matrix product adds
+    at most K = C(degree + k, k) here, and a value of sigma_f or a
+    coefficient of flatten at most F = (g + 1) (k + 3) + T + B (g, T, B: its
+    degree, term and bump counts).  With D_e and T_e the equations' degree
+    and most terms, N the ambient dimension and L = _EXCLUSION_DEPTH, n =
+    (D_e + L + 2) (K + F + T_e + N + c) covers r's coefficients and Newton's
+    value (D_e factors of F + K, + T_e + N), the control points (+ (L + 2)
+    K), d.b (+ c) and fl(S).  As |w_j| <= 1 on the face, X <= S = max_i
+    |e_i|(Z), Z = sum |poly coefficients| + sum over bumps |w| |s| prod
+    (|a|_1 + |b|), w = fl(scale * amplitude), and the control matrix (entries
+    in [0, 1]) and halvings (convex weights) keep X <= S; fl(S) >= (1 -
+    gamma_n) S, so ``error`` = gamma_2n fl(S) covers gamma_n S."""
+    row, to_bernstein, _ = _bernstein(sigma_f.dim, degree)
+    flat = sigma_f.flatten()
+    xs = [dict(zip(flat.terms, col))
+          for col in np.array(list(flat.terms.values())).reshape(-1, flat.ncomp).T.tolist()]
+    parts = [(_substitute(e.terms, xs, sigma_f.dim), e.ncomp) for e in eqs]
+    coeffs = np.concatenate([[r.get(a, np.zeros(c)) for a in row] for r, c in parts], axis=1)
+    z = sum((np.abs(v) for v in sigma_f.poly.terms.values()), np.zeros(flat.ncomp))
+    for b in sigma_f.bumps:
+        z = z + abs(b.scale * b.amplitude) * np.abs(b.s) * math.prod(
+            float(np.sum(np.abs(a))) + abs(f) for a, f in b.rho.factors)
+    bound = max(np.max(PolyMap(e.nvars, e.ncomp, {a: np.abs(v) for a, v in e.terms.items()})
+                       .eval_many(z)) for e in eqs)
+    n = ((max(e.total_degree() for e in eqs) + _EXCLUSION_DEPTH + 2)
+         * (len(row) + (sigma_f.degree() + 1) * (sigma_f.dim + 3) + len(sigma_f.poly.terms)
+            + len(sigma_f.bumps) + max(len(e.terms) for e in eqs) + len(z) + coeffs.shape[1]))
+    return to_bernstein @ coeffs, _gamma(2 * n) * float(bound)
+
+
+def _bisect(pieces: np.ndarray, ctrl: np.ndarray, halves: np.ndarray):
     """Both halves of every simplex in ``pieces`` (rows of vertices), split
-    at the midpoint of its longest edge."""
+    at the midpoint of its longest edge, and their control points."""
     gaps = np.sum((pieces[:, :, None] - pieces[:, None, :]) ** 2, axis=3)
     i, j = np.divmod(np.argmax(gaps.reshape(len(pieces), -1), axis=1), pieces.shape[1])
     rows = np.arange(len(pieces))
@@ -312,47 +360,38 @@ def _bisect(pieces: np.ndarray) -> np.ndarray:
     left, right = pieces.copy(), pieces.copy()
     left[rows, j] = mid
     right[rows, i] = mid
-    return np.concatenate([left, right])
+    halved = halves[i, j] @ ctrl[:, None]
+    return np.concatenate([left, right]), np.concatenate([halved[:, 0], halved[:, 1]])
 
 
-def _root_free(residual, k: int, degree: int, tau_root: float) -> bool:
-    """True when the polynomial ``residual`` of at most that degree provably
-    keeps ``max |r| > tau_root`` on the closed face Delta^k.
+def _root_free(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], tau_root: float) -> bool:
+    """True when Newton's float residual r~ of ``eqs`` on the unprojected face
+    map ``sigma_f`` provably keeps max |r~| > tau_root on the closed face.
 
-    On a simplex, r lies in the convex hull of its Bernstein control points
-    b, so a unit direction d with ``min d.b`` above the margin keeps
-    ``|r|_2``, and hence ``sqrt(c) * max |r|``, above it too.  The
-    directions tried are +-e_i and the mean of the control points.  The
-    margin adds to ``sqrt(c) * tau_root`` an allowance for the rounding of
-    the values, of the control points, and of iterates a few ulps outside
-    the face.  Pieces that fail are bisected, every piece of one level in
-    one ``residual`` call, up to ``_EXCLUSION_DEPTH`` levels.  A non-finite
-    value never certifies.
-    """
-    lattice, inv, inv_norm = _control_map(k, degree)
-    pieces = np.concatenate([np.zeros((1, k)), np.eye(k)])[None]
-    for level in range(_EXCLUSION_DEPTH + 1):
+    r lies in the hull of its control points b, so d.b > sqrt(c) |d|_2
+    (tau_root + 2 error) on a piece gives, as |d|_1 <= sqrt(c) |d|_2, d.r >
+    sqrt(c) |d|_2 (tau_root + error) and max |r~| > tau_root there.  For d =
+    +-e_i or the mean control point, 1 + gamma_(2c+12) covers |d|_2 (2c + 3
+    roundings) and the 7 roundings of ``margin``; underflow is not modelled.
+    Failing pieces are halved at their longest edge, up to _EXCLUSION_DEPTH
+    times.  A non-finite value never certifies."""
+    c, k = sum(e.ncomp for e in eqs), sigma_f.dim
+    degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
+    ctrl, error = _control_points(sigma_f, eqs, degree)
+    margin = math.sqrt(c) * (1 + _gamma(2 * c + 12)) * (tau_root + 2 * error)
+    pieces, ctrl = np.concatenate([np.zeros((1, k)), np.eye(k)])[None], ctrl[None]
+    for level in range(_EXCLUSION_DEPTH + 1 if k else 1):
         if level:
-            pieces = _bisect(pieces)
-        base = pieces[:, :1]
-        shape = (len(pieces), len(lattice))
-        pts = base + lattice @ (pieces[:, 1:] - base)
-        vals = residual(pts.reshape(shape[0] * shape[1], k)).reshape(*shape, -1)
-        if not np.all(np.isfinite(vals)):
-            return False
-        ctrl = inv @ vals
+            pieces, ctrl = _bisect(pieces, ctrl, _bernstein(k, degree)[2])
         mean = ctrl.mean(axis=1)
         norm = np.linalg.norm(mean, axis=1, keepdims=True)
         d = mean / np.where(norm > 0, norm, 1.0)
         lower = np.concatenate([ctrl.min(axis=1), -ctrl.max(axis=1),
                                 np.min(ctrl @ d[:, :, None], axis=1)], axis=1)
-        scale = np.maximum(1.0, np.max(np.abs(vals), axis=(1, 2)))
-        margin = math.sqrt(vals.shape[2]) * tau_root + _EXCLUSION_ROUNDING * inv_norm * scale
-        pieces = pieces[np.max(lower, axis=1) <= margin]
+        keep = ~(np.max(lower, axis=1) > margin)  # a NaN bound stays
+        pieces, ctrl = pieces[keep], ctrl[keep]
         if not len(pieces):
             return True
-        if k == 0:
-            return False
     return False
 
 
@@ -422,18 +461,12 @@ def _solve_descriptor_pair(
     sigma_f = sigma.restrict(beta)
     aff = realize_morphism(beta)
     split = n - len(vanishing)
-    seeds = simplex_grid(split, cells + 1)
 
     if member.kind == LEVEL_SET:
         eqs = [member.level] + [member.inequalities[a] for a in active]
-        if not sigma_f.project_flag:
-            def residual(w):
-                z = sigma_f.eval_many(w)
-                return np.concatenate([e.eval_many(z) for e in eqs], axis=1)
-
-            degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
-            if _root_free(residual, split, degree, opts.tau_root):
-                return IntersectionReport(cells_used=cells)
+        if not sigma_f.project_flag and _root_free(sigma_f, eqs, opts.tau_root):
+            return IntersectionReport(cells_used=cells)
+        seeds = simplex_grid(split, cells + 1)
 
         def linearize(w):
             z = sigma_f.eval_many(w)
@@ -447,11 +480,9 @@ def _solve_descriptor_pair(
         gamma = face_for_vertices(d, tuple(i for i in range(d + 1) if i not in active))
         chart_f = member.chart.restrict(gamma)
         aff_m = realize_morphism(gamma)
-        seeds_m = simplex_grid(d - len(active), cells + 1)
-        seeds = np.concatenate(
-            [np.repeat(seeds, len(seeds_m), axis=0), np.tile(seeds_m, (len(seeds), 1))],
-            axis=1,
-        )
+        seeds_w, seeds_m = simplex_grid(split, cells + 1), simplex_grid(d - len(active), cells + 1)
+        seeds = np.concatenate([np.repeat(seeds_w, len(seeds_m), axis=0),
+                                np.tile(seeds_m, (len(seeds_w), 1))], axis=1)
 
         def linearize(u):
             w, v = u[:, :split], u[:, split:]

@@ -66,6 +66,8 @@ __all__ = [
     "sensitivity_entries",
 ]
 
+_FACET_GRID = 40  # grid points per coordinate of the boundary displacement check
+
 @dataclass
 class InvariantResult:
     name: str
@@ -119,8 +121,7 @@ def check_corner_extension(
     )
 
 
-def _boundary_displacement(before: SmoothSimplexMap, after: SmoothSimplexMap,
-                           per_facet: int = 40) -> float:
+def _boundary_displacement(before: SmoothSimplexMap, after: SmoothSimplexMap) -> float:
     n = before.dim
     if n == 0:
         return 0.0
@@ -129,7 +130,7 @@ def _boundary_displacement(before: SmoothSimplexMap, after: SmoothSimplexMap,
         beta = DeltaMorphism.face(i, n)
         fa = before.restrict(beta)
         fb = after.restrict(beta)
-        grid = simplex_grid(n - 1, per_facet)
+        grid = simplex_grid(n - 1, _FACET_GRID)
         worst = max(worst, float(np.max(np.abs(fa.eval_many(grid) - fb.eval_many(grid)))))
     return worst
 

@@ -19,16 +19,31 @@ def _bundled(name):
     return os.path.join(_CONFIG_DIR, name)
 
 
+def _poly(nvars, ncomp, terms):
+    """A poly config dict: ``terms`` maps exponent tuples to coefficient lists."""
+    return {"nvars": nvars, "ncomp": ncomp,
+            "terms": [{"exp": list(e), "coeff": c} for e, c in terms.items()]}
+
+
 def test_poly_json_roundtrip():
     rng = np.random.default_rng(81)
     p = PolyMap(2, 3, {(1, 0): rng.uniform(-1, 1, 3), (0, 2): rng.uniform(-1, 1, 3)})
-    q = cli.poly_from_json(cli.poly_to_json(p))
+    q = cli.poly_from_json(_poly(2, 3, {e: c.tolist() for e, c in p.terms.items()}))
     assert p.max_coeff_diff(q) == 0.0
 
 
 def test_member_json_roundtrip():
-    for member in (origin_member(), meridian_member()):
-        d = cli.member_to_json(member)
+    s = 2.0 ** 0.5
+    origin = {"name": "origin", "kind": "level_set",
+              "level": _poly(2, 2, {(1, 0): [1.0, 0.0], (0, 1): [0.0, 1.0]}),
+              "coorientation": [_poly(2, 2, {(0, 0): [1.0, 0.0]}),
+                                _poly(2, 2, {(0, 0): [0.0, 1.0]})]}
+    meridian = {"name": "meridian", "kind": "level_set",
+                "level": _poly(4, 1, {(0, 1, 0, 0): [1.0]}),
+                "inequalities": [_poly(4, 1, {(1, 0, 0, 0): [1.0]})],
+                "coorientation": [_poly(4, 4, {(1, 0, 0, 0): [0.0, s, 0.0, 0.0],
+                                               (0, 1, 0, 0): [-s, 0.0, 0.0, 0.0]})]}
+    for member, d in ((origin_member(), origin), (meridian_member(), meridian)):
         back = cli.member_from_json(d, member.ambient)
         assert back.name == member.name
         assert back.kind == member.kind
@@ -41,10 +56,10 @@ def test_parametric_member_roundtrip():
     chart = SmoothSimplexMap.affine_from_vertices(
         np.array([[-1.0, 0.0], [1.0, 0.0]]), plane()
     )
-    from transim.transversal import CornerManifold
-
-    member = CornerManifold.parametric("strip", chart)
-    back = cli.member_from_json(cli.member_to_json(member), plane())
+    d = {"name": "strip", "kind": "parametric",
+         "chart": {"poly": _poly(1, 2, {(0,): [-1.0, 0.0], (1,): [2.0, 0.0]}),
+                   "project": False}}
+    back = cli.member_from_json(d, plane())
     assert back.kind == "parametric"
     assert back.chart.poly.max_coeff_diff(chart.poly) == 0.0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transim.poly import AffineProduct, PolyMap, monomial_exponents, point_block
+from transim.poly import AffineProduct, PolyMap, _substitute, monomial_exponents, point_block
 
 
 def _random_poly(rng, nvars, ncomp, degree):
@@ -238,6 +238,48 @@ def test_compose_affine_identity_is_noop():
     p = _random_poly(rng, 2, 1, 3)
     same = p.compose_affine(np.eye(2), np.zeros(2))
     assert p.max_coeff_diff(same) == 0.0
+
+
+def _magnitude(p):
+    """p with every coefficient replaced by its absolute value."""
+    return PolyMap(p.nvars, p.ncomp, {e: np.abs(c) for e, c in p.terms.items()})
+
+
+def _compose(outer, inner):
+    """outer o inner through the substitution loop of compose_affine, with
+    each component of the inner map as x_i."""
+    xs = [{e: float(c[i]) for e, c in inner.terms.items()} for i in range(inner.ncomp)]
+    return PolyMap(inner.nvars, outer.ncomp, _substitute(outer.terms, xs, inner.nvars))
+
+
+def test_substitution_matches_evaluating_inner_then_outer():
+    """The substitution loop of compose_affine, given a polynomial inner map,
+    agrees with evaluating the inner map and then the outer one: 0-3 inner
+    variables, composite degree up to 6, -0.0 coefficients and coordinates,
+    and maps without terms.  An affine inner map gives compose_affine's bits."""
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        k, m = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        maps = []
+        for nvars, ncomp, degree in ((k, m, int(rng.integers(0, 3))),
+                                     (m, int(rng.integers(1, 3)), int(rng.integers(0, 4)))):
+            exps = [e for e in monomial_exponents(nvars, degree) if rng.random() < 0.7]
+            if rng.random() < 0.15:
+                exps = []
+            coeffs = _coefficients(rng, (len(exps), ncomp))
+            maps.append(PolyMap(nvars, ncomp, dict(zip(exps, coeffs))))
+        inner, outer = maps
+        pts = np.where(rng.random((8, k)) < 0.2, -0.0, rng.uniform(-1, 1, (8, k)))
+        got = _compose(outer, inner).eval_many(pts)
+        want = outer.eval_many(inner.eval_many(pts))
+        scale = _magnitude(outer).eval_many(_magnitude(inner).eval_many(np.abs(pts)))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        mat, off = _coefficients(rng, (m, k)), _coefficients(rng, m)
+        substituted = _compose(outer, PolyMap.affine(mat, off))
+        direct = outer.compose_affine(mat, off)
+        assert list(substituted.terms) == list(direct.terms)
+        assert ([c.tobytes() for c in substituted.terms.values()]
+                == [c.tobytes() for c in direct.terms.values()])
 
 
 def test_total_degree():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from transim import transversal
 from transim.errors import NonFiniteMap, RankDrop, TrialsExhausted
-from transim.poly import PolyMap
+from transim.corner_ext import _bernstein_basis
+from transim.poly import PolyMap, monomial_exponents
 from transim.scenarios import (
     line_member,
     longitude_arcs,
@@ -25,6 +27,7 @@ from transim.simplex_geom import (
     DeltaMorphism,
     collapse_to_simplex,
     face_for_vertices,
+    principal_lattice,
     realize_morphism,
     simplex_grid,
 )
@@ -559,6 +562,215 @@ def test_edges_within_tau_root_are_never_certified(monkeypatch, gap):
             assert verdicts == {(member.name, (), (), 8): False}
 
 
+def _bernstein_indices(k, degree):
+    """The exponents of monomial_exponents(k, degree), each with alpha_0 =
+    degree - |alpha| in front: the rows of the root-free test's tables."""
+    return [(degree - sum(a),) + a for a in monomial_exponents(k, degree)]
+
+
+def _coefficient_column(p, degree):
+    """A scalar polynomial's coefficients in monomial_exponents order."""
+    return np.array([p.terms[e][0] if e in p.terms else 0.0
+                     for e in monomial_exponents(p.nvars, degree)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_bernstein_matrix_reproduces_the_coefficients(k):
+    """sum_alpha b_alpha B_alpha, with the Bernstein basis of the smoothing
+    stage, gives back the monomial coefficients b was computed from."""
+    rng = np.random.default_rng(40 + k)
+    for degree in range(7):
+        exps = monomial_exponents(k, degree)
+        coeffs = rng.uniform(-1, 1, len(exps))
+        ctrl = transversal._bernstein(k, degree)[1] @ coeffs
+        row = {a: r for r, a in enumerate(_bernstein_indices(k, degree))}
+        total = PolyMap.zero(k, 1)
+        for basis, multi in zip(_bernstein_basis(k, degree), principal_lattice(k, degree)[1]):
+            total = total + basis.scale(ctrl[row[tuple(int(v) for v in multi)]])
+        assert total.max_coeff_diff(PolyMap(k, 1, dict(zip(exps, coeffs[:, None])))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_halving_matrices_give_the_control_points_of_each_half(k):
+    """Halving edge (i, j) of a piece by its matrices gives the control points
+    of the polynomial restricted, by compose_affine, to that half."""
+    rng = np.random.default_rng(50 + k)
+    for degree in range(7):
+        _, to_bernstein, halves = transversal._bernstein(k, degree)
+        p = PolyMap(k, 1, {e: rng.uniform(-1, 1, 1) for e in monomial_exponents(k, degree)})
+        piece = rng.uniform(-1, 1, (k + 1, k))
+
+        def control_points(vertices):
+            on = p.compose_affine((vertices[1:] - vertices[0]).T, vertices[0])
+            return to_bernstein @ _coefficient_column(on, degree)
+
+        ctrl = control_points(piece)
+        for i, j in itertools.combinations(range(k + 1), 2):
+            for side, replaced in ((0, j), (1, i)):
+                half = piece.copy()
+                half[replaced] = (piece[i] + piece[j]) / 2
+                assert np.allclose(halves[i, j, side] @ ctrl, control_points(half),
+                                   rtol=0, atol=1e-12)
+
+
+def _fraction_product(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _exact_residual(sigma, eqs):
+    """Coefficients of r = e o raw in exact arithmetic on the map's stored
+    data (each bump's w = scale * amplitude as evaluated), one
+    {exponent: Fraction} per equation component."""
+    k = sigma.dim
+    zero = (0,) * k
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    raw = [{e: Fraction(c[j]) for e, c in sigma.poly.terms.items()}
+           for j in range(sigma.ambient.ambient_dim)]
+    for b in sigma.bumps:
+        rho = {zero: Fraction(1)}
+        for a, f in b.rho.factors:
+            rho = _fraction_product(rho, {zero: Fraction(f), **dict(zip(units, map(Fraction, a)))})
+        w = Fraction(b.scale * b.amplitude)
+        for comp, s in zip(raw, b.s):
+            for e, v in rho.items():
+                comp[e] = comp.get(e, 0) + w * Fraction(s) * v
+    out = []
+    for e in eqs:
+        comps = [{} for _ in range(e.ncomp)]
+        for exp, coef in e.terms.items():
+            mono = {zero: Fraction(1)}
+            for x, power in zip(raw, exp):
+                for _ in range(power):
+                    mono = _fraction_product(mono, x)
+            for comp, c in zip(comps, coef):
+                for key, v in mono.items():
+                    comp[key] = comp.get(key, 0) + Fraction(c) * v
+        out += comps
+    return out
+
+
+def _exact_control_points(r, k, degree):
+    """Control points on Delta^k of each {exponent: Fraction} in r, keyed by
+    barycentric index, from the expansion of sum_beta a_beta lambda^beta
+    (lambda_0 + ... + lambda_k)^(degree - |beta|) = sum_alpha b_alpha
+    degree! / alpha! lambda^alpha."""
+    total = {tuple(int(i == j) for i in range(k + 1)): Fraction(1) for j in range(k + 1)}
+    powers = [{(0,) * (k + 1): Fraction(1)}]
+    for _ in range(degree):
+        powers.append(_fraction_product(powers[-1], total))
+    out = []
+    for comp in r:
+        h = {}
+        for beta, a in comp.items():
+            for key, v in _fraction_product({(0,) + beta: a}, powers[degree - sum(beta)]).items():
+                h[key] = h.get(key, 0) + v
+        out.append({alpha: Fraction(h.get(alpha, 0)) * math.prod(map(math.factorial, alpha))
+                    / math.factorial(degree) for alpha in _bernstein_indices(k, degree)})
+    return out
+
+
+def _exact_halves(b, i, j):
+    """Control points of the halves at vertex i and at vertex j of the edge
+    (i, j), by the de Casteljau recurrence on each fibre of indices."""
+    halves = ({}, {})
+    for alpha in b:
+        if alpha[j]:
+            continue  # a fibre is named by its index with alpha_j = 0
+        s = alpha[i]
+        at = [alpha[:i] + (s - t,) + alpha[i + 1:j] + (t,) + alpha[j + 1:] for t in range(s + 1)]
+        triangle = [[b[a] for a in at]]
+        for _ in range(s):
+            triangle.append([(x + y) / 2 for x, y in zip(triangle[-1], triangle[-1][1:])])
+        for t, a in enumerate(at):
+            halves[0][a] = triangle[t][0]
+            halves[1][a] = triangle[s - t][t]
+    return halves
+
+
+def _lower_bounds(ctrl):
+    """The root-free test's lower bounds of d.b on each piece, shape (p, 2c +
+    1), and their unit directions d: +e_i, -e_i and the mean control point."""
+    p, _, c = ctrl.shape
+    mean = ctrl.mean(axis=1)
+    norm = np.linalg.norm(mean, axis=1, keepdims=True)
+    d = mean / np.where(norm > 0, norm, 1.0)
+    lower = np.concatenate([ctrl.min(axis=1), -ctrl.max(axis=1),
+                            np.min(ctrl @ d[:, :, None], axis=1)], axis=1)
+    axes = np.broadcast_to(np.concatenate([np.eye(c), -np.eye(c)]), (p, 2 * c, c))
+    return lower, np.concatenate([axes, d[:, None]], axis=1)
+
+
+def test_root_free_bounds_hold_in_exact_arithmetic(monkeypatch, cubic_maps):
+    """On every piece the root-free test tests, each lower bound of d.b less
+    its rounding allowance |d|_1 * error is at most the exact lower bound, and
+    each control point is within the allowance of the exact one.  Exact: r's
+    coefficients, the control points and every halving, with Fractions.
+    Faces: all faces of three fixture cubics, bumped cubics and triangles, and
+    the edges near the origin, against the origin and the axis."""
+    calls = []
+
+    def recording(name):
+        f = getattr(transversal, name)
+
+        def wrapper(*args):
+            out = f(*args)
+            calls[-1][name].append((args, out))
+            return out
+        return wrapper
+
+    for name in ("_control_points", "_bisect"):
+        monkeypatch.setattr(transversal, name, recording(name))
+    faces = [sigma.restrict(face_for_vertices(3, kept)) for sigma in cubic_maps[:3]
+             for r in range(1, 5) for kept in itertools.combinations(range(4), r)]
+    faces += [cubic_maps[3].with_bump(np.array([0.6, -0.8]), amplitude=0.15),
+              cubic_maps[4].restrict(face_for_vertices(3, (0, 1, 3)))
+              .with_bump(np.array([-0.28, 0.96]), amplitude=0.15)]
+    faces += [edge for gap in (0.0, 1e-11, 1e-10) for edge in _edges_near_origin(gap)]
+    tau = LocusOptions().tau_root
+    tested = halvings = certified = 0
+    for face in faces:
+        k = face.dim
+        for member in (origin_member(), line_member()):
+            calls.append({"_control_points": [], "_bisect": []})
+            certified += transversal._root_free(face, [member.level], tau)
+            record = calls[-1]
+            degree = face.degree() * member.level.total_degree()
+            index = _bernstein_indices(k, degree)
+            exact = _exact_control_points(_exact_residual(face, [member.level]), k, degree)
+            [(_, (ctrl, error))] = record["_control_points"]
+            allowance = Fraction(error)
+            levels = [(np.concatenate([np.zeros((1, k)), np.eye(k)])[None], ctrl[None])]
+            known = {levels[0][0][0].tobytes(): exact}
+            for (parents, _, _), (children, child_ctrl) in record["_bisect"]:
+                for p, parent in enumerate(parents):
+                    # the half at vertex i replaced vertex j, and the other half vertex i
+                    (j,), (i,) = (np.flatnonzero(np.any(children[q] != parent, axis=1))
+                                  for q in (p, p + len(parents)))
+                    halves = [_exact_halves(comp, i, j) for comp in known[parent.tobytes()]]
+                    known[children[p].tobytes()] = [h[0] for h in halves]
+                    known[children[p + len(parents)].tobytes()] = [h[1] for h in halves]
+                halvings += len(parents)
+                levels.append((children, child_ctrl))
+            for pieces, piece_ctrl in levels:
+                lower, dirs = _lower_bounds(piece_ctrl)
+                for piece, points, bounds, piece_dirs in zip(pieces, piece_ctrl, lower, dirs):
+                    b = known[piece.tobytes()]
+                    for comp, column in zip(b, points.T):
+                        for alpha, x in zip(index, column):
+                            assert abs(Fraction(x) - comp[alpha]) <= allowance
+                    for bound, d in zip(bounds, piece_dirs):
+                        d = [Fraction(x) for x in d]
+                        least = min(sum(x * c[alpha] for x, c in zip(d, b)) for alpha in index)
+                        assert Fraction(bound) - sum(map(abs, d)) * allowance <= least
+                        tested += 1
+    assert certified > 60 and halvings > 300 and tested > 3000
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_locus_of_a_non_finite_map_raises(bad):
     edge = SmoothSimplexMap.affine_from_vertices(np.array([[-1.0, 0.2], [1.0, bad]]), plane())
@@ -656,15 +868,10 @@ def test_non_finite_residual_is_never_certified():
     for bad in (0.0, np.nan):
         poly = PolyMap(1, 2, {(0,): np.array([5.0, 5.0]), (1,): np.array([1.0, bad])})
         edge = SmoothSimplexMap.from_poly(poly, plane())
-
-        def residual(w, edge=edge):
-            return level.eval_many(edge.eval_many(w))
-
         # far from the origin: certified, unless a coefficient is NaN
-        assert transversal._root_free(residual, 1, 1, tau) == (bad == 0.0)
+        assert transversal._root_free(edge, [level], tau) == (bad == 0.0)
         vertex = edge.restrict(DeltaMorphism.face(0, 1))
-        assert transversal._root_free(
-            lambda w: level.eval_many(vertex.eval_many(w)), 0, 0, tau) == (bad == 0.0)
+        assert transversal._root_free(vertex, [level], tau) == (bad == 0.0)
 
 
 def _pairwise_greedy(points):

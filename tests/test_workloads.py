@@ -1,6 +1,7 @@
 """Smoke test of the benchmark workloads: each one's first item passes its
 oracle, a second fresh round gives it the same digest, and so does a third
-round under the benchmark tracer."""
+round under the benchmark tracer.  Skipping Newton on faces certified
+root-free changes no digest."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,26 @@ def test_first_item_of_two_fresh_rounds(workloads, tracing, name):
         tracer.uninstall()
     assert traced == digests[0]
     assert tracer.calls[tracer.names.index("poly.PolyMap.compose_affine")] > 0
+
+
+@pytest.mark.parametrize("name", ["cocycle_plane", "retraction_naturality"])
+def test_skipping_newton_on_certified_faces_changes_no_output(workloads, monkeypatch, name):
+    """Item 0 gives the same digest when no face is certified root-free and
+    Newton runs on every face."""
+    from transim import transversal
+
+    verdicts = []
+    root_free = transversal._root_free
+
+    def recording(*args):
+        verdicts.append(root_free(*args))
+        return verdicts[-1]
+
+    workload = workloads.WORKLOADS[name](3)
+    monkeypatch.setattr(transversal, "_root_free", recording)
+    workload.start_round()
+    certified = workload.item(0)
+    assert any(verdicts)
+    monkeypatch.setattr(transversal, "_root_free", lambda *args: False)
+    workload.start_round()
+    assert workload.item(0) == certified
