@@ -16,27 +16,24 @@ whole computation is coefficient surgery and therefore exact.
 polynomial on every facet by a single polynomial map that keeps the facet
 restrictions and stays sup-close to the input.  The surrogate has the shape
 E + (lambda_0 ... lambda_n) * Q: the boundary interpolant E reproduces the
-facet data exactly (it is solved on the unisolvent principal lattice in the
-Bernstein basis), and the interior correction Q is a least-squares fit of
-the remaining residual against the barycentric bump, which vanishes on the
-boundary by construction.
+facet data up to the rounding of one linear solve (it is solved on the
+unisolvent principal lattice in the Bernstein basis), and the interior
+correction Q is a least-squares fit of the remaining residual against the
+barycentric bump, which vanishes on the boundary by construction.  The basis is ``simplex_geom._bernstein_polys``,
+one map whose components run in ``principal_lattice`` order, so the
+interpolation matrix is one evaluation of it at the lattice nodes;
+``simplex_geom`` also holds the root-free test's Bernstein table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompatibleFaces, ToleranceUnreachable
-from .poly import AffineProduct, PolyMap, monomial_exponents
-from .simplex_geom import (
-    DeltaMorphism,
-    SimplexDomain,
-    principal_lattice,
-    realize_morphism,
-)
+from .poly import AffineProduct, PolyMap, _product, _sum_terms, monomial_exponents
+from .simplex_geom import SimplexDomain, _bernstein_polys, principal_lattice
 from .smooth_maps import PiecewiseMap, SmoothSimplexMap
 
 __all__ = [
@@ -148,39 +145,13 @@ def verify_restriction_identity(data: CornerData, extension: PolyMap, wall: int)
 # -- boundary-respecting smoothing -------------------------------------------------
 
 
-_bernstein_cache: dict[tuple[int, int], list[PolyMap]] = {}
-
-
-def _bernstein_basis(n: int, order: int) -> list[PolyMap]:
-    """Bernstein polynomials of the given order on Delta^n, one per multi-index.
-
-    Ordering matches the multi-index rows of ``principal_lattice``.
-    """
-    key = (n, order)
-    if key in _bernstein_cache:
-        return _bernstein_cache[key]
-    lam0 = PolyMap.affine(-np.ones((1, n)), np.array([1.0]))
-    lams = [lam0] + [PolyMap.coordinate(i, n) for i in range(n)]
-    _, multis = principal_lattice(n, order)
-    basis = []
-    for alpha in multis:
-        coeff = math.factorial(order)
-        poly = PolyMap.constant(np.array([1.0]), n)
-        for lam, a in zip(lams, alpha):
-            coeff //= math.factorial(int(a))
-            for _ in range(int(a)):
-                poly = poly * lam
-        basis.append(poly.scale(float(coeff)))
-    _bernstein_cache[key] = basis
-    return basis
-
-
-def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> tuple[PolyMap, float]:
+def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> PolyMap:
     """Polynomial with the prescribed facet restrictions.
 
     Solved on the principal lattice: boundary nodes carry the facet raw data,
     interior nodes carry the input values.  Unisolvence of the lattice makes
-    the facet restrictions exact up to the linear solve.
+    the facet restrictions exact up to the linear solve.  Each monomial
+    coefficient is one ordered sum over the basis, in lattice order.
     """
     n = piecewise.dim
     ncomp = piecewise.ambient.ambient_dim
@@ -202,24 +173,15 @@ def _boundary_interpolant(piecewise: PiecewiseMap, order: int) -> tuple[PolyMap,
             raise IncompatibleFaces("facet data disagree at a shared lattice node")
     interior = ~on_wall.any(axis=1)
     values[interior] = piecewise.eval(nodes[interior])
-    basis = _bernstein_basis(n, order)
-    vand = np.stack([b.eval_many(nodes)[:, 0] for b in basis], axis=1)
-    coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
-    interp = PolyMap.zero(n, ncomp)
-    for b, c in zip(basis, coeffs):
-        interp = interp + b.scale_vector(c)
-    facet_err = 0.0
-    for i in range(n + 1):
-        aff = realize_morphism(DeltaMorphism.face(i, n))
-        restricted = interp.compose_affine(aff.matrix, aff.offset)
-        facet_err = max(facet_err, restricted.max_coeff_diff(facet_raw[i]))
-    return interp, facet_err
+    basis = _bernstein_polys(n, order)
+    coeffs, *_ = np.linalg.lstsq(basis.eval_many(nodes), values, rcond=None)
+    return PolyMap(n, ncomp, {e: _sum_terms(b[:, None] * coeffs) for e, b in basis.terms.items()})
 
 
 _GRID_ORDER = {1: 64, 2: 24, 3: 12}
 
 
-def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> tuple[SmoothSimplexMap, dict]:
+def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> SmoothSimplexMap:
     """Single polynomial map matching sigma's facets and sup-close to sigma.
 
     The output is E + rho * Q as described in the module docstring;
@@ -236,7 +198,7 @@ def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> tuple[SmoothSimplexM
         raise IncompatibleFaces("facet maps disagree on the projection flag")
     project_flag = flags.pop()
 
-    interp, facet_err = _boundary_interpolant(sigma, _DEGREE_CAP)
+    interp = _boundary_interpolant(sigma, _DEGREE_CAP)
 
     rho = AffineProduct.barycentric(n)
     grid, _ = principal_lattice(n, _GRID_ORDER.get(n, 8))
@@ -257,10 +219,9 @@ def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> tuple[SmoothSimplexM
             cols.append(rho_vals * mono)
         design = np.stack(cols, axis=1)
         coef, *_ = np.linalg.lstsq(design, resid, rcond=None)
-        rho_poly = rho.expand()
-        for e, c in zip(exps, coef):
-            mono = PolyMap(n, 1, {e: np.array([1.0])})
-            correction = correction + (rho_poly * mono).scale_vector(c)
+        # Q on the left keeps each coefficient's sum in exponent order
+        correction = PolyMap(n, ambient.ambient_dim,
+                             _product(dict(zip(exps, coef)), rho.expand().terms))
 
     candidate = SmoothSimplexMap(
         SimplexDomain(n), ambient, interp + correction, project_flag
@@ -273,9 +234,4 @@ def smooth_rel_boundary(sigma: PiecewiseMap, tol: float) -> tuple[SmoothSimplexM
         raise ToleranceUnreachable(
             f"smoothing residual {sup_err:.3e} exceeds tol {tol:.3e} at degree cap"
         )
-    return candidate, {
-        "sup_error": sup_err,
-        "facet_error": float(facet_err),
-        "interpolation_degree": _DEGREE_CAP,
-        "correction_degree": max(qdeg, -1),
-    }
+    return candidate

@@ -175,12 +175,6 @@ class PolyMap:
             terms[tuple(exp)] = matrix[:, j]
         return cls(nvars, ncomp, terms)
 
-    @classmethod
-    def coordinate(cls, index: int, nvars: int) -> "PolyMap":
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(nvars, 1, {tuple(exp): np.array([1.0])})
-
     # -- evaluation --------------------------------------------------------
 
     def _eval_arrays(self):

@@ -76,13 +76,13 @@ class SingularRecord:
 def _degenerate_at(m: SmoothSimplexMap, j: int) -> bool:
     """True if m factors through the collapse s_j.
 
-    The test composes the j-th face with the j-th degeneracy and compares
-    coefficients; for genuinely collapsed maps the round trip is exact
-    because all the affine data is 0/1 valued.
+    The test restricts once, by delta_j o s_j (vertex j collapsed onto
+    j + 1), and compares coefficients up to _DEGENERATE_TOL.  The affine
+    data is 0/1 valued, but the substitution still sums coefficients, so
+    the round trip of a collapsed map can move its last bits.
     """
     n = m.dim
-    face = m.restrict(DeltaMorphism.face(j, n))
-    round_trip = face.restrict(DeltaMorphism.degeneracy(j, n))
+    round_trip = m.restrict(DeltaMorphism.face(j, n).compose(DeltaMorphism.degeneracy(j, n)))
     return maps_close(m, round_trip, _DEGENERATE_TOL)
 
 
@@ -454,7 +454,7 @@ class FiniteSingularFamily:
         else:
             cone = ConeStage(t_a, rec.map, face_tracks)
             slice_map = ConeSlice(cone)
-            smoothed, _ = smooth_rel_boundary(slice_map, self.smoothing_tol)
+            smoothed = smooth_rel_boundary(slice_map, self.smoothing_tol)
             stage_a = cone
             stage_b = SmoothingStage(t_a, mid, "smoothing", start=slice_map, end=smoothed)
 

@@ -229,11 +229,11 @@ def random_transverse_cubic(
     for _ in range(_CUBIC_ATTEMPTS):
         verts = rng.uniform(-1.4, 1.4, size=(4, 2))
         sigma = SmoothSimplexMap.affine_from_vertices(verts, plane())
-        poly = sigma.poly
+        terms = dict(sigma.poly.terms)
         for e in monomial_exponents(3, 3):
             if sum(e) >= 2:
-                poly = poly + PolyMap(3, 2, {e: rng.uniform(-0.12, 0.12, size=2)})
-        sigma = SmoothSimplexMap.from_poly(poly, plane())
+                terms[e] = rng.uniform(-0.12, 0.12, size=2)
+        sigma = SmoothSimplexMap.from_poly(PolyMap(3, 2, terms), plane())
         if is_T_transverse(sigma, members, tol_rank, opts=opts).ok:
             return sigma
     raise TrialsExhausted("no transverse cubic simplex found", diagnostics={})

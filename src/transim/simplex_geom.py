@@ -9,16 +9,27 @@ are (1 - sum x, x_1, ..., x_n), indexed so that lambda_i vanishes exactly on
 the facet opposite vertex i.  Monotone maps between the index sets [n] are
 realized as affine maps between these models; realization is exact because
 the matrices involved have 0/1 entries.
+
+Both Bernstein tables of transim live here, each cached per (k, degree).
+``_bernstein_polys`` is the basis B_beta = degree!/beta! lambda^beta of
+Delta^k itself, one component per multi-index in ``principal_lattice``
+order (beta_0 first); the smoothing stage interpolates in it.
+``_bernstein`` takes monomial coefficients, in ``monomial_exponents`` order,
+to control points on the same index set, its rows and columns in that
+monomial order with beta_0 = degree - |beta'| implied, and gives the de
+Casteljau halves; the root-free test bounds residuals with it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import point_block
+from .poly import PolyMap, monomial_exponents, point_block
 
 __all__ = [
     "SimplexDomain",
@@ -218,3 +229,46 @@ def principal_lattice(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 def simplex_grid(n: int, per_dim: int) -> np.ndarray:
     """Deterministic evaluation grid: the principal lattice of that order."""
     return principal_lattice(n, per_dim - 1)[0] if per_dim > 1 else np.zeros((1, n))
+
+
+@functools.cache
+def _bernstein_polys(k: int, degree: int) -> PolyMap:
+    """The Bernstein basis of that degree on Delta^k as one map, component b
+    the basis polynomial of row b of ``principal_lattice(k, degree)``.
+
+    With beta = (beta_0, beta'), expanding lambda_0^beta_0 = (1 - sum x)^beta_0
+    gives B_beta the coefficient degree!/beta! (-1)^|m| beta_0!/(m! (beta_0 -
+    |m|)!) at x^(beta' + m), for m >= 0 with |m| <= beta_0: exact integers."""
+    _, multis = principal_lattice(k, degree)
+    terms: dict[tuple[int, ...], np.ndarray] = {}
+    for b, (beta_0, *rest) in enumerate(multis.tolist()):
+        scale = math.factorial(degree) // math.prod(map(math.factorial, (beta_0, *rest)))
+        for m in monomial_exponents(k, beta_0):
+            e = tuple(map(sum, zip(rest, m)))
+            multinomial = math.factorial(beta_0) // (
+                math.prod(map(math.factorial, m)) * math.factorial(beta_0 - sum(m)))
+            terms.setdefault(e, np.zeros(len(multis)))[b] = scale * (-1) ** sum(m) * multinomial
+    return PolyMap(k, len(multis), terms)
+
+
+@functools.cache
+def _bernstein(k: int, degree: int):
+    """Row of each exponent a of ``monomial_exponents(k, degree)``, M[a, b] =
+    prod_i perm(a_i, b_i) / perm(degree, |b|) taking coefficients to control
+    points on Delta^k (Farouki 2012), and the de Casteljau matrices of the
+    halves at vertex i (side 0) and j of edge (i, j), a_0 = degree - |a|."""
+    exps = monomial_exponents(k, degree)
+    row = {a: r for r, a in enumerate(exps)}
+    to_bernstein = np.array([[math.prod(map(math.perm, a, b)) / math.perm(degree, sum(b))
+                              for b in exps] for a in exps])
+    halves = np.zeros((k + 1, k + 1, 2, len(exps), len(exps)))
+    for (i, j), (r, a) in itertools.product(itertools.combinations(range(k + 1), 2),
+                                            enumerate(exps)):
+        full = [degree - sum(a), *a]
+        s, t = full[i] + full[j], full[j]  # the fibre's degree, a's place on it
+        for q in range(s + 1):
+            full[i], full[j] = s - q, q
+            halves[i, j, :, r, row[tuple(full[1:])]] = (
+                math.comb(t, q) / 2**t, math.comb(s - t, q - t) / 2**(s - t) if q >= t else 0)
+    to_bernstein.flags.writeable = halves.flags.writeable = False  # shared by every caller
+    return row, to_bernstein, halves

@@ -28,7 +28,6 @@ with points is a numerical statement about them, not a certificate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -37,8 +36,9 @@ import numpy as np
 
 from .ambient import AmbientManifold
 from .errors import OutOfTube, RankDrop, TrialsExhausted
-from .poly import PolyMap, _substitute, monomial_exponents, point_block
+from .poly import PolyMap, _substitute, _sum_terms, point_block
 from .simplex_geom import (
+    _bernstein,
     barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
@@ -235,6 +235,13 @@ class IntersectionPoint:
 
 @dataclass
 class IntersectionReport:
+    """Located points of one or more stratum pairs.
+
+    ``newton_failures`` counts the seeds that stall inside the open face
+    with a residual above 1e-6, on faces where Newton ran.  A face that the
+    root-free test certifies skips Newton and reports 0, so the count
+    depends on which faces the exclusion certifies, not only on the map."""
+
     points: list[IntersectionPoint] = field(default_factory=list)
     newton_failures: int = 0
     cells_used: int = 0
@@ -289,29 +296,6 @@ def _gamma(n: int) -> float:
     return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-@functools.cache
-def _bernstein(k: int, degree: int):
-    """Row of each exponent a of ``monomial_exponents(k, degree)``, M[a, b] =
-    prod_i perm(a_i, b_i) / perm(degree, |b|) taking coefficients to control
-    points on Delta^k (Farouki 2012), and the de Casteljau matrices of the
-    halves at vertex i (side 0) and j of edge (i, j), a_0 = degree - |a|."""
-    exps = monomial_exponents(k, degree)
-    row = {a: r for r, a in enumerate(exps)}
-    to_bernstein = np.array([[math.prod(map(math.perm, a, b)) / math.perm(degree, sum(b))
-                              for b in exps] for a in exps])
-    halves = np.zeros((k + 1, k + 1, 2, len(exps), len(exps)))
-    for (i, j), (r, a) in itertools.product(itertools.combinations(range(k + 1), 2),
-                                            enumerate(exps)):
-        full = [degree - sum(a), *a]
-        s, t = full[i] + full[j], full[j]  # the fibre's degree, a's place on it
-        for q in range(s + 1):
-            full[i], full[j] = s - q, q
-            halves[i, j, :, r, row[tuple(full[1:])]] = (
-                math.comb(t, q) / 2**t, math.comb(s - t, q - t) / 2**(s - t) if q >= t else 0)
-    to_bernstein.flags.writeable = halves.flags.writeable = False  # shared by every caller
-    return row, to_bernstein, halves
-
-
 def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
     """Control points of that degree of r = e o flatten(sigma_f) on the face,
     shape (nb, c), and ``error``, bounding the rounding of each one, of d.b
@@ -342,8 +326,12 @@ def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
     for b in sigma_f.bumps:
         z = z + abs(b.scale * b.amplitude) * np.abs(b.s) * math.prod(
             float(np.sum(np.abs(a))) + abs(f) for a, f in b.rho.factors)
-    bound = max(np.max(PolyMap(e.nvars, e.ncomp, {a: np.abs(v) for a, v in e.terms.items()})
-                       .eval_many(z)) for e in eqs)
+
+    def magnitude(e):  # max_i |e_i|(z), by e's own evaluation arrays
+        deg, idx, coef, _, _ = e._eval_arrays()
+        return np.max(_sum_terms(np.abs(coef)[:, :, None] * e._monomials(z, deg, idx)[:, None, :]))
+
+    bound = max(map(magnitude, eqs))
     n = ((max(e.total_degree() for e in eqs) + _EXCLUSION_DEPTH + 2)
          * (len(row) + (sigma_f.degree() + 1) * (sigma_f.dim + 3) + len(sigma_f.poly.terms)
             + len(sigma_f.bumps) + max(len(e.terms) for e in eqs) + len(z) + coeffs.shape[1]))

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from transim import verify
+from transim import retraction, verify
 from transim.ambient import AmbientManifold
 from transim.errors import NonFiniteMap
 from transim.poly import PolyMap, monomial_exponents
@@ -75,6 +75,38 @@ def test_factorization_handles_iterated_collapse():
     assert collapse.source == 3 and collapse.target == 1
     assert collapse == s
     assert maps_close(recovered, base)
+
+
+def test_one_restriction_tests_degeneracy_like_the_two_step_round_trip(monkeypatch):
+    """Restricting once by delta_j o s_j gives the verdict of restricting by
+    delta_j and then s_j on every record of the identity checks, and on a
+    degenerate map the two round trips have the same coefficients."""
+    built = []
+
+    class Recorded(FiniteSingularFamily):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "FiniteSingularFamily", Recorded)
+    degenerate = 0
+    for seed in range(3):
+        built.clear()
+        verify.check_retraction_identities(seed)
+        (fam,) = built
+        for rec in fam.records.values():
+            m, n = rec.map, rec.map.dim
+            for j in range(n):
+                two_step = m.restrict(DeltaMorphism.face(j, n)).restrict(
+                    DeltaMorphism.degeneracy(j, n))
+                expected = maps_close(m, two_step, retraction._DEGENERATE_TOL)
+                assert retraction._degenerate_at(m, j) == expected
+                if expected:
+                    one_step = m.restrict(
+                        DeltaMorphism.face(j, n).compose(DeltaMorphism.degeneracy(j, n)))
+                    assert one_step.flatten().max_coeff_diff(two_step.flatten()) == 0.0
+                    degenerate += 1
+    assert degenerate
 
 
 def test_add_registers_faces_and_dedups():

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transim import transversal
+from transim import simplex_geom, transversal
 from transim.errors import NonFiniteMap, RankDrop, TrialsExhausted
-from transim.corner_ext import _bernstein_basis
 from transim.poly import PolyMap, monomial_exponents
 from transim.scenarios import (
     line_member,
@@ -25,6 +24,8 @@ from transim.scenarios import (
 )
 from transim.simplex_geom import (
     DeltaMorphism,
+    SimplexDomain,
+    barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
     principal_lattice,
@@ -576,18 +577,25 @@ def _coefficient_column(p, degree):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_bernstein_matrix_reproduces_the_coefficients(k):
-    """sum_alpha b_alpha B_alpha, with the Bernstein basis of the smoothing
-    stage, gives back the monomial coefficients b was computed from."""
+    """The closed-form basis table is degree!/beta! lambda^beta at random
+    points of Delta^k, and the root-free test's control-point matrix takes
+    each basis polynomial's coefficients to its unit control-point vector."""
     rng = np.random.default_rng(40 + k)
+    pts = SimplexDomain(k).random_points(rng, 25)
+    lam = barycentrics_many(k, pts)
     for degree in range(7):
+        basis = simplex_geom._bernstein_polys(k, degree)
+        multis = principal_lattice(k, degree)[1]
+        direct = np.stack([math.factorial(degree) / math.prod(map(math.factorial, beta))
+                           * np.prod(lam ** beta, axis=1) for beta in multis], axis=1)
+        assert np.allclose(basis.eval_many(pts), direct, rtol=0, atol=1e-12)
+        row, to_bernstein, _ = simplex_geom._bernstein(k, degree)
         exps = monomial_exponents(k, degree)
-        coeffs = rng.uniform(-1, 1, len(exps))
-        ctrl = transversal._bernstein(k, degree)[1] @ coeffs
-        row = {a: r for r, a in enumerate(_bernstein_indices(k, degree))}
-        total = PolyMap.zero(k, 1)
-        for basis, multi in zip(_bernstein_basis(k, degree), principal_lattice(k, degree)[1]):
-            total = total + basis.scale(ctrl[row[tuple(int(v) for v in multi)]])
-        assert total.max_coeff_diff(PolyMap(k, 1, dict(zip(exps, coeffs[:, None])))) <= 1e-12
+        columns = np.array([basis.terms.get(e, np.zeros(len(multis))) for e in exps])
+        units = np.zeros((len(exps), len(multis)))
+        for b, beta in enumerate(multis.tolist()):
+            units[row[tuple(beta[1:])], b] = 1.0
+        assert np.allclose(to_bernstein @ columns, units, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -596,7 +604,7 @@ def test_halving_matrices_give_the_control_points_of_each_half(k):
     of the polynomial restricted, by compose_affine, to that half."""
     rng = np.random.default_rng(50 + k)
     for degree in range(7):
-        _, to_bernstein, halves = transversal._bernstein(k, degree)
+        _, to_bernstein, halves = simplex_geom._bernstein(k, degree)
         p = PolyMap(k, 1, {e: rng.uniform(-1, 1, 1) for e in monomial_exponents(k, degree)})
         piece = rng.uniform(-1, 1, (k + 1, k))
 
