@@ -9,7 +9,9 @@ face is exact up to floating point arithmetic on the coefficients; no
 sampling or refitting is involved.
 
 Every product goes through one kernel, ``_product``, on plain term dicts.
-``__mul__`` is one kernel call and one ``PolyMap``.  ``_substitute`` keeps
+``__mul__`` is one kernel call and one ``PolyMap``, made by ``_from_kernel``
+without the casts and copies of ``PolyMap.__init__``, as is the result of
+``compose_affine``.  ``_substitute`` keeps
 each x_i (an affine row for ``compose_affine``, or any polynomial), each
 power x_i^k = x_i^(k-1) * x_i and each monomial as a term dict of floats.
 The coefficient bits depend on the order of the sums, so the order is fixed:
@@ -111,6 +113,17 @@ def _canonical(terms: dict) -> dict:
     """A scalar term dict of floats in a PolyMap's form: keys sorted, exact
     zeros (-0.0 too) dropped."""
     return {e: terms[e] for e in sorted(terms) if terms[e] != 0.0}
+
+
+def _from_kernel(nvars: int, ncomp: int, terms: dict) -> "PolyMap":
+    """A ``PolyMap`` of a kernel's raw result, the map ``PolyMap(nvars,
+    ncomp, terms)`` would build: keys sorted, all-zero vectors (-0.0 too)
+    dropped.  The kernels give int-tuple keys and fresh float vectors of
+    length ``ncomp``, so nothing is cast, reshaped or copied."""
+    out = PolyMap.__new__(PolyMap)
+    out.nvars, out.ncomp, out._arrays = nvars, ncomp, None
+    out.terms = {e: terms[e] for e in sorted(terms) if terms[e].any()}
+    return out
 
 
 def _substitute(terms: dict, xs: list[dict], nvars: int) -> dict:
@@ -263,8 +276,8 @@ class PolyMap:
             raise ValueError("variable count mismatch in product")
         if self.ncomp != 1 and other.ncomp != 1:
             raise ValueError("one factor must be scalar")
-        return PolyMap(self.nvars, max(self.ncomp, other.ncomp),
-                       _product(self.terms, other.terms))
+        return _from_kernel(self.nvars, max(self.ncomp, other.ncomp),
+                            _product(self.terms, other.terms))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -289,7 +302,7 @@ class PolyMap:
         units = [tuple(row) for row in np.eye(new_n, dtype=int).tolist()]
         xs = [{(0,) * new_n: b, **dict(zip(units, row))}
               for row, b in zip(matrix.tolist(), offset.tolist())]
-        return PolyMap(new_n, self.ncomp, _substitute(self.terms, xs, new_n))
+        return _from_kernel(new_n, self.ncomp, _substitute(self.terms, xs, new_n))
 
     # -- comparison and serialization ---------------------------------------
 

@@ -306,10 +306,12 @@ def _index_key(m: SmoothSimplexMap) -> tuple:
     return (m.dim, m.project_flag, m.ambient.kind, m.ambient.ambient_dim)
 
 
-def _constant_key(flat: PolyMap) -> float:
-    """First component of the constant term; 0 when the term is absent."""
-    const = flat.terms.get((0,) * flat.nvars)
-    return 0.0 if const is None else float(const[0])
+def _affine_part(flat: PolyMap) -> np.ndarray:
+    """The constant term and the n linear coefficient vectors of ``flat``,
+    as rows of one (n + 1, N) array; an absent term is a row of 0."""
+    zero, absent = (0,) * flat.nvars, np.zeros(flat.ncomp)
+    exps = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(flat.nvars)]
+    return np.array([flat.terms.get(e, absent) for e in exps])
 
 
 _by_constant = operator.itemgetter(0)
@@ -337,8 +339,8 @@ class FiniteSingularFamily:
         self.records: dict[str, SingularRecord] = {}  # in insertion order
         self.memo: dict[str, HomotopyTrack] = {}
         self._retracted: dict[str, str] = {}
-        # _index_key -> [(constant key, insertion order, record, its flatten())]
-        # sorted on the constant key
+        # _index_key -> [(constant key, insertion order, record, its flatten(),
+        # its _affine_part)] sorted on the constant key, the affine part's [0, 0]
         self._index: dict[tuple, list[tuple]] = {}
 
     # record management
@@ -349,18 +351,25 @@ class FiniteSingularFamily:
 
         Records are indexed by the data ``maps_close`` compares exactly
         (dimension, projection flag, ambient kind and dimension), and each
-        index list is sorted on the first component of the constant term.
-        Closeness bounds that component's difference too, so only the
-        records in a window around the probe's value are confirmed
-        coefficientwise.  Of those that match, the one inserted first is
-        returned: the record a scan in insertion order would find.
+        index list is sorted on the first component of the constant term,
+        the map's value at vertex 0.  Closeness bounds that component's
+        difference too, so only the records in a window around the probe's
+        value can match.  Every face and degeneracy through vertex 0 shares
+        that value, so a window candidate must next agree with the probe to
+        _DEDUP_TOL on its affine part (``_affine_part``), and only then is
+        it compared coefficientwise.  That filter is exact: it takes the same
+        rounded differences |a - b| that ``max_coeff_diff`` takes, on a
+        subset of the terms.  Of the records that match, the one inserted
+        first is returned: the record a scan in insertion order would find.
         """
         entries = self._index.get(_index_key(m), [])
-        c = _constant_key(flat)
+        aff = _affine_part(flat)
+        c = float(aff[0, 0])
         lo = bisect.bisect_left(entries, c - _DEDUP_WINDOW, key=_by_constant)
         hi = bisect.bisect_right(entries, c + _DEDUP_WINDOW, key=_by_constant)
-        matches = [(order, rec) for _, order, rec, rec_flat in entries[lo:hi]
-                   if rec_flat.max_coeff_diff(flat) <= _DEDUP_TOL]
+        matches = [(order, rec) for _, order, rec, rec_flat, rec_aff in entries[lo:hi]
+                   if np.abs(rec_aff - aff).max() <= _DEDUP_TOL
+                   and rec_flat.max_coeff_diff(flat) <= _DEDUP_TOL]
         return min(matches)[1] if matches else None
 
     def _new_record(self, m: SmoothSimplexMap, flat: PolyMap, faces: tuple[str, ...],
@@ -369,8 +378,9 @@ class FiniteSingularFamily:
         rid = f"r{order}"
         rec = SingularRecord(id=rid, dim=m.dim, map=m, status=status, faces=faces)
         self.records[rid] = rec
+        aff = _affine_part(flat)
         bisect.insort(self._index.setdefault(_index_key(m), []),
-                      (_constant_key(flat), order, rec, flat), key=_by_constant)
+                      (float(aff[0, 0]), order, rec, flat, aff), key=_by_constant)
         return rec
 
     def add(self, m: SmoothSimplexMap) -> SingularRecord:

@@ -207,12 +207,14 @@ def facet_coordinates_many(n: int, i: int, pts) -> np.ndarray:
     return kept[:, 1:] / total[:, None]
 
 
+@functools.cache
 def principal_lattice(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points m/order of Delta^n together with their multi-indices.
 
     Returns (points, multis) where multis rows are the n+1 barycentric
     numerators (lambda_0 first) summing to ``order``.  The lattice of a given
-    order is unisolvent for total-degree-``order`` polynomials.
+    order is unisolvent for total-degree-``order`` polynomials.  Built once
+    per (n, order) and shared by every caller, so both arrays are read-only.
     """
     pts = []
     multis = []
@@ -220,15 +222,16 @@ def principal_lattice(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         if sum(combo) <= order:
             multis.append((order - sum(combo),) + combo)
             pts.append(np.array(combo, dtype=float) / order if order else np.zeros(n))
-    return (
-        np.asarray(pts, dtype=float).reshape(len(pts), n),
-        np.array(multis, dtype=int),
-    )
+    pts = np.asarray(pts, dtype=float).reshape(len(pts), n)
+    multis = np.array(multis, dtype=int)
+    pts.flags.writeable = multis.flags.writeable = False
+    return pts, multis
 
 
 def simplex_grid(n: int, per_dim: int) -> np.ndarray:
-    """Deterministic evaluation grid: the principal lattice of that order."""
-    return principal_lattice(n, per_dim - 1)[0] if per_dim > 1 else np.zeros((1, n))
+    """Deterministic evaluation grid: the points of the principal lattice of
+    order per_dim - 1 (the origin alone below 2), shared and read-only."""
+    return principal_lattice(n, max(per_dim - 1, 0))[0]
 
 
 @functools.cache

@@ -136,20 +136,22 @@ class SmoothSimplexMap:
             out = out + b.contribution_many(pts)
         return out
 
-    def eval_many(self, pts) -> np.ndarray:
-        raw = self.raw_many(pts)
+    def eval_many(self, pts, raw=None) -> np.ndarray:
+        """Values at a block of points; ``raw``, if given, is ``raw_many(pts)``."""
+        raw = self.raw_many(pts) if raw is None else raw
         if self.project_flag:
             return self.ambient.project_many(raw)
         return raw
 
-    def jacobian_many(self, pts) -> np.ndarray:
-        """Jacobians of the value map, shape (p, N, n)."""
+    def jacobian_many(self, pts, raw=None) -> np.ndarray:
+        """Jacobians of the value map, shape (p, N, n).  A projected map
+        needs ``raw_many(pts)``, which a caller that has it passes as ``raw``."""
         pts = point_block(pts, self.dim)
         jac = self.poly.jac_many(pts)
         for b in self.bumps:
             jac = jac + b.jacobian_many(pts)
         if self.project_flag:
-            raw = self.raw_many(pts)
+            raw = self.raw_many(pts) if raw is None else raw
             dpi = self.ambient.project_jacobian_many(raw)
             jac = np.einsum("pij,pjk->pik", dpi, jac)
         return jac
@@ -233,7 +235,7 @@ def finite_flatten(m: SmoothSimplexMap) -> PolyMap:
     """``m.flatten()``; raises ``NonFiniteMap`` if a coefficient is NaN or
     infinite."""
     flat = m.flatten()
-    if not all(np.all(np.isfinite(c)) for c in flat.terms.values()):
+    if not np.isfinite(np.array(list(flat.terms.values()))).all():
         raise NonFiniteMap(f"a {m.dim}-simplex map has a non-finite coefficient")
     return flat
 

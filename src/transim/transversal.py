@@ -457,10 +457,11 @@ def _solve_descriptor_pair(
         seeds = simplex_grid(split, cells + 1)
 
         def linearize(w):
-            z = sigma_f.eval_many(w)
+            raw = sigma_f.raw_many(w)
+            z = sigma_f.eval_many(w, raw)
             r = np.concatenate([e.eval_many(z) for e in eqs], axis=1)
             dz = np.concatenate([e.jac_many(z) for e in eqs], axis=1)
-            return r, np.einsum("pij,pjk->pik", dz, sigma_f.jacobian_many(w))
+            return r, np.einsum("pij,pjk->pik", dz, sigma_f.jacobian_many(w, raw))
 
         clip = collapse_to_simplex
     else:
@@ -474,9 +475,10 @@ def _solve_descriptor_pair(
 
         def linearize(u):
             w, v = u[:, :split], u[:, split:]
-            r = sigma_f.eval_many(w) - chart_f.eval_many(v)
-            jac = np.concatenate([sigma_f.jacobian_many(w), -chart_f.jacobian_many(v)],
-                                 axis=2)
+            raw_w, raw_v = sigma_f.raw_many(w), chart_f.raw_many(v)
+            r = sigma_f.eval_many(w, raw_w) - chart_f.eval_many(v, raw_v)
+            jac = np.concatenate([sigma_f.jacobian_many(w, raw_w),
+                                  -chart_f.jacobian_many(v, raw_v)], axis=2)
             return r, jac
 
         def clip(u):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from transim.poly import AffineProduct, PolyMap, _substitute, monomial_exponents, point_block
+from transim import poly
+from transim.poly import (
+    AffineProduct,
+    PolyMap,
+    _from_kernel,
+    _substitute,
+    monomial_exponents,
+    point_block,
+)
 
 
 def _random_poly(rng, nvars, ncomp, degree):
@@ -280,6 +288,41 @@ def test_substitution_matches_evaluating_inner_then_outer():
         assert list(substituted.terms) == list(direct.terms)
         assert ([c.tobytes() for c in substituted.terms.values()]
                 == [c.tobytes() for c in direct.terms.values()])
+
+
+def test_kernel_constructor_builds_what_the_checked_constructor_builds(monkeypatch):
+    """``__mul__`` and ``compose_affine`` build their results with
+    ``_from_kernel``: the keys, bits and dropped terms of ``PolyMap(...)``
+    on the same raw kernel result, whose zero vectors carry either sign."""
+    raws = []
+
+    def recording(nvars, ncomp, terms):
+        raws.append((nvars, ncomp, dict(terms)))
+        return _from_kernel(nvars, ncomp, terms)
+
+    monkeypatch.setattr(poly, "_from_kernel", recording)
+    tiny = 1e-200  # tiny * -tiny underflows to -0.0
+    # x terms cancel to +0.0; x^10 is -0.0 throughout; x^9 keeps a -0.0
+    left = PolyMap(1, 1, {(0,): [1.0], (1,): [1.0], (5,): [tiny]})
+    right = PolyMap(1, 2, {(0,): [-1.0, -2.0], (1,): [1.0, 2.0], (4,): [-tiny, 1.0],
+                           (5,): [-tiny, -tiny]})
+    # (x - 1)^2 at x = y1 + 1 cancels to +0.0 below y1^2; z = tiny y2 makes
+    # the y2 term -0.0
+    square = PolyMap(2, 2, {(0, 0): [1.0, 3.0], (1, 0): [-2.0, -6.0], (2, 0): [1.0, 3.0],
+                            (0, 1): [-tiny, -tiny]})
+    results = [left * right, square.compose_affine([[1.0, 0.0], [0.0, tiny]], [1.0, 0.0])]
+    assert len(raws) == len(results)
+    for out, (nvars, ncomp, raw) in zip(results, raws):
+        zeros = [c for c in raw.values() if not c.any()]
+        assert any(not np.signbit(c).any() for c in zeros)
+        assert any(np.signbit(c).all() for c in zeros)
+        checked = PolyMap(nvars, ncomp, raw)
+        assert (out.nvars, out.ncomp) == (checked.nvars, checked.ncomp)
+        assert list(out.terms) == list(checked.terms)
+        assert len(out.terms) == len(raw) - len(zeros)
+        assert [c.tobytes() for c in out.terms.values()] == [
+            c.tobytes() for c in checked.terms.values()]
+    assert np.signbit(results[0].terms[(9,)][0])  # a kept vector keeps its -0.0
 
 
 def test_total_degree():

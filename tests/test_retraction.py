@@ -395,6 +395,47 @@ def _linear_scan(fam, m):
     return None
 
 
+def _segment(start, direction, quadratic=None):
+    """Plane 1-simplex t -> start + t direction (+ t^2 quadratic)."""
+    terms = {(0,): start, (1,): direction}
+    if quadratic is not None:
+        terms[(2,)] = quadratic
+    return SmoothSimplexMap.from_poly(PolyMap(1, 2, terms), plane())
+
+
+def _found(records, probe):
+    """_find's answer for probe in a family holding records, after checking
+    it against the linear scan."""
+    fam = _plane_family()
+    for m in records:
+        fam.add(m)
+    found = fam._find(probe, probe.flatten())
+    assert found is _linear_scan(fam, probe)
+    return found and found.map
+
+
+def test_dedup_separates_records_that_share_the_constant_term():
+    start = [0.3, 0.2]
+    # faces and degeneracies through vertex 0 all take its value there
+    maps = [SmoothSimplexMap.constant(start, plane(), dim=1), _segment(start, [1.0, 0.0]),
+            _segment(start, [0.0, 1.0]), _segment(start, [1.0, 0.0], [0.0, 0.5])]
+    for m in maps:
+        assert _found(maps, m) is m
+    assert _found(maps, _segment(start, [1.0, 1.0])) is None
+
+
+def test_dedup_affine_part_edge_agrees_with_maps_close():
+    tol = retraction._DEDUP_TOL
+    start, base = [0.3, 0.2], _segment([0.3, 0.2], [1.0, 0.0])
+    # |0 - tol| is tol exactly: close; one ulp more is not
+    assert _found([base], _segment(start, [1.0, tol])) is base
+    assert _found([base], _segment(start, [1.0, np.nextafter(tol, 1.0)])) is None
+    # equal affine parts do not make a match: the full comparison still runs
+    curved = _segment(start, [1.0, 0.0], [0.25, 0.5])
+    assert _found([curved], _segment(start, [1.0, 0.0], [0.25, 0.5 + 1e-9])) is None
+    assert _found([curved], _segment(start, [1.0, 0.0], [0.25, 0.5])) is curved
+
+
 def test_keyed_index_matches_a_linear_scan(monkeypatch):
     built = []
 

@@ -159,3 +159,18 @@ def test_principal_lattice_counts():
 
 def test_simplex_grid_zero_dim():
     assert simplex_grid(0, 5).shape == (1, 0)
+    assert np.array_equal(simplex_grid(2, 1), np.zeros((1, 2)))  # below 2, the origin
+
+
+def test_lattices_are_shared_and_read_only():
+    for n, order in ((0, 3), (1, 4), (2, 5), (3, 2)):
+        lattice = principal_lattice(n, order)
+        assert principal_lattice(n, order) is lattice
+        for arr in lattice:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    for n, per_dim in ((0, 5), (2, 1), (2, 6)):
+        grid = simplex_grid(n, per_dim)
+        assert simplex_grid(n, per_dim) is grid
+        with pytest.raises(ValueError):
+            grid[...] = 1.0

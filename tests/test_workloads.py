@@ -1,9 +1,12 @@
 """Smoke test of the benchmark workloads: each one's first item passes its
 oracle, a second fresh round gives it the same digest, and so does a third
 round under the benchmark tracer.  Skipping Newton on faces certified
-root-free changes no digest."""
+root-free changes no digest, and neither do the reuse paths of the record
+index, the kernel results and the lattices."""
 
+import collections
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,42 @@ def test_skipping_newton_on_certified_faces_changes_no_output(workloads, monkeyp
     monkeypatch.setattr(transversal, "_root_free", lambda *args: False)
     workload.start_round()
     assert workload.item(0) == certified
+
+
+@pytest.mark.parametrize("name", ["cocycle_plane", "retraction_naturality"])
+def test_reference_lookup_construction_and_lattices_change_no_output(workloads, monkeypatch,
+                                                                      name):
+    """Item 0 gives the same digest with records looked up by a linear scan,
+    kernel results built by ``PolyMap.__init__``, and every lattice built
+    afresh on each call."""
+    from transim import poly, retraction, simplex_geom
+    from transim.smooth_maps import maps_close
+
+    workload = workloads.WORKLOADS[name](3)
+    workload.start_round()
+    reused = workload.item(0)
+
+    calls = collections.Counter()
+
+    def counted(fn):
+        def reference(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return reference
+
+    def linear_scan(fam, m, flat):
+        return next((rec for rec in fam.records.values()
+                     if maps_close(rec.map, m, retraction._DEDUP_TOL)), None)
+
+    monkeypatch.setattr(retraction.FiniteSingularFamily, "_find", counted(linear_scan))
+    monkeypatch.setattr(poly, "_from_kernel", counted(poly.PolyMap))
+    cached = simplex_geom.principal_lattice  # simplex_grid reads it from simplex_geom
+    for module in [m for n, m in sys.modules.items() if n.startswith("transim")]:
+        if getattr(module, "principal_lattice", None) is cached:
+            monkeypatch.setattr(module, "principal_lattice", counted(cached.__wrapped__))
+    workload.start_round()
+    assert workload.item(0) == reused
+    # cocycle_plane's item 0 smooths nothing and no face of it reaches
+    # Newton, so it builds no lattice
+    used = ["linear_scan", "PolyMap"] + ["principal_lattice"] * (name != "cocycle_plane")
+    assert all(calls[k] for k in used)
