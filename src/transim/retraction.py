@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 import operator
 from dataclasses import dataclass
 
@@ -34,11 +35,13 @@ from .simplex_geom import (
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap, finite_flatten, maps_close
+from .smooth_maps import SmoothSimplexMap, _abs_bound, finite_flatten, maps_close
 from .transversal import (
     LocusOptions,
     TCollection,
+    _gamma,
     is_T_transverse,
+    is_T_transverse_ok,
     perturb_to_transverse,
 )
 
@@ -73,6 +76,17 @@ class SingularRecord:
 # -- factorization ------------------------------------------------------------------
 
 
+def _at_vertex(flat: PolyMap, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """flat's value at vertex i, summed in term order over the terms that do
+    not vanish there (the constant, and for i >= 1 the powers of x_i), and
+    the sum of their absolute values."""
+    value, size = np.zeros(flat.ncomp), np.zeros(flat.ncomp)
+    for e, c in flat.terms.items():
+        if not any(p for q, p in enumerate(e) if q != i - 1):
+            value, size = value + c, size + np.abs(c)
+    return value, size
+
+
 def _degenerate_at(m: SmoothSimplexMap, j: int) -> bool:
     """True if m factors through the collapse s_j.
 
@@ -80,8 +94,30 @@ def _degenerate_at(m: SmoothSimplexMap, j: int) -> bool:
     j + 1), and compares coefficients up to _DEGENERATE_TOL.  The affine
     data is 0/1 valued, but the substitution still sums coefficients, so
     the round trip of a collapsed map can move its last bits.
-    """
-    n = m.dim
+
+    A map whose vertices j and j + 1 lie apart is rejected first, exactly.
+    Let F = flatten(m) and G = flatten(round trip), P the exact raw map and
+    Q = P o (delta_j o s_j), so Q(v_j) = P(v_(j+1)).  If every coefficient
+    of F - G is within tol = _DEGENERATE_TOL (to a factor 1 + u), the at
+    most g + 1 terms that do not vanish at v_j give |F(v_j) - G(v_j)| <= (g
+    + 1) tol.  F and G are built from the stored data by + and *, with at
+    most h = 2 ((g + 1) (n + 3) + n K + T + B) roundings on a path (g, T, B
+    the degree, term and bump counts, K = C(g + n, n) a product's terms), so
+    by Higham's rule (see ``transversal._control_points``) their
+    coefficients are within gamma_h of P's and Q's in total over the terms,
+    relative to Z and (n + 1)^g Z, Z from ``smooth_maps._abs_bound``: an
+    affine row of the realization has absolute sum at most n + 1.  Summing
+    the vertex values adds gamma_(g+1) of their absolute sums, and 1 +
+    gamma_16 covers the roundings of the difference and of the bound."""
+    n, g = m.dim, m.degree()
+    flat = m.flatten()
+    (a, size_a), (b, size_b) = _at_vertex(flat, j), _at_vertex(flat, j + 1)
+    h = 2 * ((g + 1) * (n + 3) + n * math.comb(g + n, n) + len(m.poly.terms) + len(m.bumps))
+    allowance = (1 + _gamma(16)) * ((g + 1) * _DEGENERATE_TOL
+                                    + _gamma(2 * h) * (1 + (n + 1) ** g) * _abs_bound(m)
+                                    + _gamma(g + 1) * (size_a + size_b))
+    if np.any(np.abs(a - b) > allowance):  # a NaN gap goes on to the full test
+        return False
     round_trip = m.restrict(DeltaMorphism.face(j, n).compose(DeltaMorphism.degeneracy(j, n)))
     return maps_close(m, round_trip, _DEGENERATE_TOL)
 
@@ -433,8 +469,7 @@ class FiniteSingularFamily:
                 rec.status = STATUS_TRANSVERSE
             return DegenerateTrack(base_track, collapse, rec.id)
 
-        check = is_T_transverse(rec.map, self.members, self.tol_rank, opts=self.opts)
-        if check.ok:
+        if is_T_transverse_ok(rec.map, self.members, self.tol_rank, self.opts):
             rec.status = STATUS_TRANSVERSE
             return self._constant_track(rec)
 

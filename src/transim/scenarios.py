@@ -27,7 +27,7 @@ from .transversal import (
     CornerManifold,
     LocusOptions,
     TCollection,
-    is_T_transverse,
+    is_T_transverse_ok,
 )
 
 __all__ = [
@@ -234,7 +234,7 @@ def random_transverse_cubic(
             if sum(e) >= 2:
                 terms[e] = rng.uniform(-0.12, 0.12, size=2)
         sigma = SmoothSimplexMap.from_poly(PolyMap(3, 2, terms), plane())
-        if is_T_transverse(sigma, members, tol_rank, opts=opts).ok:
+        if is_T_transverse_ok(sigma, members, tol_rank, opts):
             return sigma
     raise TrialsExhausted("no transverse cubic simplex found", diagnostics={})
 

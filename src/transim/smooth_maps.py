@@ -17,6 +17,7 @@ further perturbation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
 
@@ -238,6 +239,18 @@ def finite_flatten(m: SmoothSimplexMap) -> PolyMap:
     if not np.isfinite(np.array(list(flat.terms.values()))).all():
         raise NonFiniteMap(f"a {m.dim}-simplex map has a non-finite coefficient")
     return flat
+
+
+def _abs_bound(m: SmoothSimplexMap) -> np.ndarray:
+    """Z, one value per component: sum |poly coefficients| + sum over bumps
+    |w| |s| prod (|a|_1 + |b|), w = fl(scale * amplitude).  As the
+    coordinates of the simplex lie in [0, 1], it bounds |raw| there, and
+    the sum of the coefficients of ``flatten`` written on absolute values."""
+    z = sum((np.abs(v) for v in m.poly.terms.values()), np.zeros(m.poly.ncomp))
+    for b in m.bumps:
+        z = z + abs(b.scale * b.amplitude) * np.abs(b.s) * math.prod(
+            float(np.sum(np.abs(a))) + abs(f) for a, f in b.rho.factors)
+    return z
 
 
 def maps_close(a: SmoothSimplexMap, b: SmoothSimplexMap, tol: float = 1e-10) -> bool:

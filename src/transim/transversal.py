@@ -24,10 +24,20 @@ from the coefficients' magnitudes (see ``_control_points``).  Located
 points are still numerical: completeness elsewhere is heuristic and is
 guarded by the density escalation in ``is_transverse_pair``, so a verdict
 with points is a numerical statement about them, not a certificate.
+
+Callers that read only the verdict use ``is_T_transverse_ok``.  Where the
+equations of a stratum are affine, the same exclusion runs on the critical
+system (r, the c x c minors of Dr), scaled so that a certified face pair
+has no point Newton could keep with a spanning value below 10 tol_rank
+(see ``_transverse``).  A simplex depth whose pairs all certify is left out
+of the sweep, which cannot change the verdict, and the rest is swept as in
+``is_T_transverse``.  ``is_T_transverse``, ``is_transverse_pair`` and the
+reports they make are unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -36,7 +46,7 @@ import numpy as np
 
 from .ambient import AmbientManifold
 from .errors import OutOfTube, RankDrop, TrialsExhausted
-from .poly import PolyMap, _substitute, _sum_terms, point_block
+from .poly import PolyMap, _product, _substitute, _sum_terms, point_block
 from .simplex_geom import (
     _bernstein,
     barycentrics_many,
@@ -45,7 +55,7 @@ from .simplex_geom import (
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap, finite_flatten
+from .smooth_maps import SmoothSimplexMap, _abs_bound, finite_flatten
 
 __all__ = [
     "CornerManifold",
@@ -59,6 +69,7 @@ __all__ = [
     "intersection_locus",
     "is_transverse_pair",
     "is_T_transverse",
+    "is_T_transverse_ok",
     "perturb_to_transverse",
 ]
 
@@ -70,7 +81,9 @@ _MAX_CELLS_PER_DIM = 64  # cap of the cell escalation in is_transverse_pair
 _CLUSTER_RADIUS = 1e-6  # located points closer than this are one point
 _OPEN_TOL = 1e-9  # barycentric / inequality margin of an open stratum
 _MAX_ITERS = 30  # most Gauss-Newton iterations per solve
-_EXCLUSION_DEPTH = 6  # bisection levels of the root-free test
+_EXCLUSION_DEPTH = 6  # bisection levels of the root-free test before Newton
+_CERTIFICATE_DEPTH = 12  # bisection levels of the transversality certificate
+_COLUMN_FLOOR = 1e-3  # norm floor of the spanning test's columns
 
 
 @dataclass(frozen=True)
@@ -296,7 +309,37 @@ def _gamma(n: int) -> float:
     return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
+def _residual(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
+    """The coefficients of r = e o flatten(sigma_f), shape (K, c), rows in
+    ``monomial_exponents(k, degree)`` order; the flattened map; Z (see
+    ``smooth_maps._abs_bound``); and S = max_i |e_i|(Z)."""
+    row, _, _ = _bernstein(sigma_f.dim, degree)
+    flat = sigma_f.flatten()
+    xs = [dict(zip(flat.terms, col))
+          for col in np.array(list(flat.terms.values())).reshape(-1, flat.ncomp).T.tolist()]
+    parts = [(_substitute(e.terms, xs, sigma_f.dim), e.ncomp) for e in eqs]
+    coeffs = np.concatenate([[r.get(a, np.zeros(c)) for a in row] for r, c in parts], axis=1)
+    z = _abs_bound(sigma_f)
+
+    def magnitude(e):  # max_i |e_i|(z), by e's own evaluation arrays
+        deg, idx, coef, _, _ = e._eval_arrays()
+        return np.max(_sum_terms(np.abs(coef)[:, :, None] * e._monomials(z, deg, idx)[:, None, :]))
+
+    return coeffs, flat, z, float(max(map(magnitude, eqs)))
+
+
+def _rounding_count(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], terms: int,
+                    columns: int, depth: int) -> int:
+    """The count n of ``_control_points`` for K = ``terms``, c = ``columns``
+    and L = ``depth``."""
+    return ((max(e.total_degree() for e in eqs) + depth + 2)
+            * (terms + (sigma_f.degree() + 1) * (sigma_f.dim + 3) + len(sigma_f.poly.terms)
+               + len(sigma_f.bumps) + max(len(e.terms) for e in eqs)
+               + sigma_f.ambient.ambient_dim + columns))
+
+
+def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int,
+                    depth: int = _EXCLUSION_DEPTH):
     """Control points of that degree of r = e o flatten(sigma_f) on the face,
     shape (nb, c), and ``error``, bounding the rounding of each one, of d.b
     per unit of |d|_1 and of Newton's value of each r_i.
@@ -308,34 +351,16 @@ def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
     at most K = C(degree + k, k) here, and a value of sigma_f or a
     coefficient of flatten at most F = (g + 1) (k + 3) + T + B (g, T, B: its
     degree, term and bump counts).  With D_e and T_e the equations' degree
-    and most terms, N the ambient dimension and L = _EXCLUSION_DEPTH, n =
+    and most terms, N the ambient dimension and L the bisection depth, n =
     (D_e + L + 2) (K + F + T_e + N + c) covers r's coefficients and Newton's
     value (D_e factors of F + K, + T_e + N), the control points (+ (L + 2)
     K), d.b (+ c) and fl(S).  As |w_j| <= 1 on the face, X <= S = max_i
-    |e_i|(Z), Z = sum |poly coefficients| + sum over bumps |w| |s| prod
-    (|a|_1 + |b|), w = fl(scale * amplitude), and the control matrix (entries
-    in [0, 1]) and halvings (convex weights) keep X <= S; fl(S) >= (1 -
-    gamma_n) S, so ``error`` = gamma_2n fl(S) covers gamma_n S."""
-    row, to_bernstein, _ = _bernstein(sigma_f.dim, degree)
-    flat = sigma_f.flatten()
-    xs = [dict(zip(flat.terms, col))
-          for col in np.array(list(flat.terms.values())).reshape(-1, flat.ncomp).T.tolist()]
-    parts = [(_substitute(e.terms, xs, sigma_f.dim), e.ncomp) for e in eqs]
-    coeffs = np.concatenate([[r.get(a, np.zeros(c)) for a in row] for r, c in parts], axis=1)
-    z = sum((np.abs(v) for v in sigma_f.poly.terms.values()), np.zeros(flat.ncomp))
-    for b in sigma_f.bumps:
-        z = z + abs(b.scale * b.amplitude) * np.abs(b.s) * math.prod(
-            float(np.sum(np.abs(a))) + abs(f) for a, f in b.rho.factors)
-
-    def magnitude(e):  # max_i |e_i|(z), by e's own evaluation arrays
-        deg, idx, coef, _, _ = e._eval_arrays()
-        return np.max(_sum_terms(np.abs(coef)[:, :, None] * e._monomials(z, deg, idx)[:, None, :]))
-
-    bound = max(map(magnitude, eqs))
-    n = ((max(e.total_degree() for e in eqs) + _EXCLUSION_DEPTH + 2)
-         * (len(row) + (sigma_f.degree() + 1) * (sigma_f.dim + 3) + len(sigma_f.poly.terms)
-            + len(sigma_f.bumps) + max(len(e.terms) for e in eqs) + len(z) + coeffs.shape[1]))
-    return to_bernstein @ coeffs, _gamma(2 * n) * float(bound)
+    |e_i|(Z), Z from ``smooth_maps._abs_bound``, and the control matrix
+    (entries in [0, 1]) and halvings (convex weights) keep X <= S; fl(S) >=
+    (1 - gamma_n) S, so ``error`` = gamma_2n fl(S) covers gamma_n S."""
+    coeffs, _, _, bound = _residual(sigma_f, eqs, degree)
+    n = _rounding_count(sigma_f, eqs, len(coeffs), coeffs.shape[1], depth)
+    return _bernstein(sigma_f.dim, degree)[1] @ coeffs, _gamma(2 * n) * bound
 
 
 def _bisect(pieces: np.ndarray, ctrl: np.ndarray, halves: np.ndarray):
@@ -352,23 +377,24 @@ def _bisect(pieces: np.ndarray, ctrl: np.ndarray, halves: np.ndarray):
     return np.concatenate([left, right]), np.concatenate([halved[:, 0], halved[:, 1]])
 
 
-def _root_free(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], tau_root: float) -> bool:
-    """True when Newton's float residual r~ of ``eqs`` on the unprojected face
-    map ``sigma_f`` provably keeps max |r~| > tau_root on the closed face.
+def _excluded(ctrl: np.ndarray, k: int, degree: int, tau: float, error: float,
+              depth: int = _EXCLUSION_DEPTH) -> bool:
+    """True when the map g on Delta^k whose control points of that degree
+    are ``ctrl``, shape (nb, c), each within ``error`` of its exact value,
+    d.b included per unit of |d|_1, provably has max_i |g_i| > tau + error
+    on the whole closed simplex.
 
-    r lies in the hull of its control points b, so d.b > sqrt(c) |d|_2
-    (tau_root + 2 error) on a piece gives, as |d|_1 <= sqrt(c) |d|_2, d.r >
-    sqrt(c) |d|_2 (tau_root + error) and max |r~| > tau_root there.  For d =
-    +-e_i or the mean control point, 1 + gamma_(2c+12) covers |d|_2 (2c + 3
-    roundings) and the 7 roundings of ``margin``; underflow is not modelled.
-    Failing pieces are halved at their longest edge, up to _EXCLUSION_DEPTH
-    times.  A non-finite value never certifies."""
-    c, k = sum(e.ncomp for e in eqs), sigma_f.dim
-    degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
-    ctrl, error = _control_points(sigma_f, eqs, degree)
-    margin = math.sqrt(c) * (1 + _gamma(2 * c + 12)) * (tau_root + 2 * error)
+    g lies in the hull of its control points b, so d.b > sqrt(c) |d|_2 (tau
+    + 2 error) on a piece gives, as |d|_1 <= sqrt(c) |d|_2, d.g > sqrt(c)
+    |d|_2 (tau + error) and max |g_i| > tau + error there.  For d = +-e_i or
+    the mean control point, 1 + gamma_(2c+12) covers |d|_2 (2c + 3
+    roundings) and the 7 roundings of ``margin``; underflow is not
+    modelled.  Failing pieces are halved at their longest edge, up to
+    ``depth`` times.  A non-finite value never certifies."""
+    c = ctrl.shape[1]
+    margin = math.sqrt(c) * (1 + _gamma(2 * c + 12)) * (tau + 2 * error)
     pieces, ctrl = np.concatenate([np.zeros((1, k)), np.eye(k)])[None], ctrl[None]
-    for level in range(_EXCLUSION_DEPTH + 1 if k else 1):
+    for level in range(depth + 1 if k else 1):
         if level:
             pieces, ctrl = _bisect(pieces, ctrl, _bernstein(k, degree)[2])
         mean = ctrl.mean(axis=1)
@@ -381,6 +407,151 @@ def _root_free(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], tau_root: float) -
         if not len(pieces):
             return True
     return False
+
+
+def _root_free(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], tau_root: float,
+               depth: int = _EXCLUSION_DEPTH) -> bool:
+    """True when Newton's float residual r~ of ``eqs`` on the unprojected face
+    map ``sigma_f`` provably keeps max |r~| > tau_root on the closed face:
+    ``_excluded`` gives max |r| > tau_root + error, and r~ is within
+    ``error`` of r (see ``_control_points``)."""
+    degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
+    ctrl, error = _control_points(sigma_f, eqs, degree, depth)
+    return _excluded(ctrl, sigma_f.dim, degree, tau_root, error, depth)
+
+
+@functools.cache
+def _lowered(k: int, degree: int) -> list[np.ndarray]:
+    """For d/dx_j, j < k, rows (r, s, a_j): the rows in ``monomial_exponents(k,
+    degree)`` order of each x^a with a_j > 0 and of x^(a - e_j)."""
+    row = _bernstein(k, degree)[0]
+    return [np.array([(r, row[a[:j] + (a[j] - 1,) + a[j + 1:]], a[j])
+                      for a, r in row.items() if a[j]], dtype=np.intp).reshape(-1, 3)
+            for j in range(k)]
+
+
+def _critical_system(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints: np.ndarray,
+                     tol_rank: float, tau_root: float):
+    """Control points of the critical system (r, m_S) of a k-face against c
+    affine equations, k >= c, at the degree max(g, c (g - 1)), shape (nb, c +
+    M) with one minor m_S of Dr per c-subset S of the face coordinates; that
+    degree; each column's bound t (tau' for r, mu_S for m_S, see
+    ``_transverse``); and each column's rounding allowance.
+
+    r's allowance is ``_control_points``' at this degree and column count.
+    The minors come from r's coefficients, differentiated by coefficient
+    (one rounding), multiplied by ``poly._product`` ((c - 1) (K + 1) more)
+    and summed over the c! permutations (c! more).  On absolute values a
+    derivative's coefficients sum to at most g S, so a minor's expression
+    is at most S_m = c! (g S)^c, and gamma_2n' fl(S_m), n' = n + (c - 1) (K
+    + 1) + c! + c + 4 counting S_m's own roundings, bounds their control
+    points' rounding.
+
+    mu_S = (10 tol_rank + slack) rho |A|_2^c c^((c-1)/2) prod_(j in S)
+    max(W_j, f), with |A|_2 <= s_1 + gamma_p |A|_F, s_1 >= ... >= s_c the
+    singular values LAPACK gives for A, and 1 + gamma_(4c+16) covering
+    its own roundings.  W_j bounds |J_j| on the face
+    by the control points of the j-th partials of flatten(sigma_f), which
+    are within gamma_2n g Z of exact (Z from ``smooth_maps._abs_bound``).
+    ``slack`` covers the rounding of Newton's path (Weyl's inequality): a
+    column of ``jacobian_many`` is within sqrt(N) gamma_2F g max Z of J_j,
+    F as in ``_control_points``, which the normalization moves at most 2/f
+    as much, plus gamma_(N+4) for its own roundings; LAPACK's SVDs are
+    backward stable with a perturbation at most gamma_p times the Frobenius
+    norm, p = 16 (N + k)^2 standing for their dimension constant (Demmel
+    and Kahan 1990), which moves K by at most 2 sqrt(N - c) gamma_p (1 + 2
+    |A|_F / s_c) (Wedin 1972) and the least singular value of M by
+    gamma_p |M|_F <= 2 gamma_p sqrt(k + N - c)."""
+    k, c, n_amb = sigma_f.dim, len(constraints), sigma_f.ambient.ambient_dim
+    g = sigma_f.degree()
+    degree = max(g, c * (g - 1))
+    row, to_bernstein, _ = _bernstein(k, degree)
+    coeffs, flat, z, bound = _residual(sigma_f, eqs, degree)
+    own = np.array([flat.terms.get(a, np.zeros(n_amb)) for a in row])
+    both = np.concatenate([own, coeffs], axis=1)
+    partials = np.zeros((k,) + both.shape)  # d/dx_j of flatten's and r's columns
+    for j, (src, dst, power) in enumerate(lowered.T for lowered in _lowered(k, degree)):
+        partials[j, dst] = power[:, None] * both[src]
+    grads = [[{a: v for a, v in zip(row, col) if v} for col in partials[j, :, n_amb:].T.tolist()]
+             for j in range(k)]
+    zero = (0,) * k
+    subsets = list(itertools.combinations(range(k), c))
+    minors = []
+    for cols in subsets:
+        total: dict = {}
+        for perm in itertools.permutations(range(c)):
+            sign = (-1.0) ** sum(p > q for p, q in itertools.combinations(perm, 2))
+            term = functools.reduce(_product, [grads[cols[p]][i] for i, p in enumerate(perm)])
+            _product(term, {zero: sign}, total)
+        minors.append([total.get(a, 0.0) for a in row])
+    ctrl = to_bernstein @ np.concatenate([coeffs, np.array(minors).T], axis=1)
+
+    n = _rounding_count(sigma_f, eqs, len(row), ctrl.shape[1], _CERTIFICATE_DEPTH)
+    error = _gamma(2 * n) * bound
+    error_m = (_gamma(2 * (n + (c - 1) * (len(row) + 1) + math.factorial(c) + c + 4))
+               * math.factorial(c) * (g * bound) ** c)
+    jac = np.abs(to_bernstein @ partials[:, :, :n_amb]).max(axis=1) + _gamma(2 * n) * g * z
+    widths = np.maximum(np.linalg.norm(jac, axis=1) * (1 + _gamma(2 * n_amb + 8)),
+                        _COLUMN_FLOOR)
+    value = (g + 1) * (k + 3) + len(sigma_f.poly.terms) + len(sigma_f.bumps)
+    lapack = _gamma(16 * (n_amb + k) ** 2)
+    sv = np.linalg.svd(constraints, compute_uv=False)
+    frobenius = float(np.linalg.norm(constraints))
+    slack = (math.sqrt(k) * (2 / _COLUMN_FLOOR * math.sqrt(n_amb) * _gamma(2 * value) * g
+                             * float(np.max(z)) + _gamma(n_amb + 4))
+             + 2 * lapack * math.sqrt(k + n_amb - c))
+    rho = 1.0
+    if c < n_amb:
+        slack += 2 * math.sqrt(n_amb - c) * lapack * (1 + 2 * frobenius / sv[-1])
+        rho = math.sqrt(1 + k)
+    norm_a = (sv[0] + lapack * frobenius) * (1 + _gamma(1))
+    mu = ((10 * tol_rank + slack) * rho * norm_a ** c * c ** ((c - 1) / 2)
+          * (1 + _gamma(4 * c + 16)) * np.array([math.prod(widths[list(s)]) for s in subsets]))
+    bounds = np.concatenate([np.full(c, tau_root + 2 * error), mu])
+    return ctrl, degree, bounds, np.concatenate([np.full(c, error), np.full(len(mu), error_m)])
+
+
+def _transverse(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints: np.ndarray,
+                tol_rank: float, tau_root: float) -> bool:
+    """True when every point Newton can keep on this face against the stratum
+    {eqs = 0} provably has a spanning value of at least 10 tol_rank, so the
+    pair can neither fail nor escalate ``is_transverse_pair``.  The map is
+    unprojected in a Euclidean ambient, and the c equations are affine, with
+    ``constraints`` = A, their constant c x N Jacobian, of full rank.
+
+    On a k-face with k < c the spanning test cannot pass, so the certificate
+    is ``_root_free``, with _CERTIFICATE_DEPTH bisections.  For k >= c,
+    Newton keeps only points w with max |r~(w)| <= tau_root, and there
+    Dr = A J, J = Dsigma_f.  The spanning test takes the least singular
+    value of M = [J D^-1 | K], D = diag(max(|J_j|, f)), f = _COLUMN_FLOOR,
+    K an orthonormal basis of ker A (for c < N; any basis gives the same
+    singular values).  Let U be an orthonormal basis of the row space of A,
+    X = K^T J D^-1, Y = U^T J D^-1 and s = sigma_c(Y).  For a unit v = (v1,
+    v2) in ker A + row A, |M^T v|^2 = |X^T v1 + Y^T v2|^2 + |v1|^2, whose
+    least value is at least s^2 / (1 + |X|^2 + s^2) >= s^2 / (1 + k), as
+    |X|^2 + s^2 <= |J D^-1|_F^2 <= k.  For c = N, sigma_N(M) = s.  With
+    B = A J D^-1, s >= sigma_c(B) / |A|_2, and for a c-subset S of the
+    columns, by interlacing, sigma_c(B) >= sigma_c(B_S) >= |det B_S| /
+    |B_S|_2^(c-1), |B_S|_2 <= |A|_2 sqrt(c).  As det B_S = m_S /
+    prod_(j in S) D_j, m_S the minor of Dr on the columns S,
+
+        sigma_N(M) >= |m_S| / (rho |A|_2^c c^((c-1)/2) prod_(j in S) D_j),
+
+    rho = sqrt(1 + k) for c < N, else 1.  So |m_S| > mu_S (see
+    ``_critical_system``) gives sigma_N(M) >= 10 tol_rank + slack, and
+    Newton's computed value is at least 10 tol_rank.
+
+    One exclusion of the stacked system (r / tau', m_S / mu_S) settles the
+    pair: at every point some |m_S| > mu_S, or some |r_i| > tau' = tau_root
+    + 2 error, where r~ exceeds tau_root and Newton keeps nothing.  A column
+    scaled by its bound t adds one rounding, which 2 error / t covers, as
+    error >= 2 u S."""
+    if sigma_f.dim < len(constraints):
+        return _root_free(sigma_f, eqs, tau_root, _CERTIFICATE_DEPTH)
+    ctrl, degree, bounds, errors = _critical_system(sigma_f, eqs, constraints, tol_rank,
+                                                    tau_root)
+    return _excluded(ctrl / bounds, sigma_f.dim, degree, 1.0, float(np.max(2 * errors / bounds)),
+                     _CERTIFICATE_DEPTH)
 
 
 def _cluster(points: list[IntersectionPoint]) -> list[int]:
@@ -421,7 +592,7 @@ def _normalize_columns(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return a
     norms = np.linalg.norm(a, axis=0)
-    return a / np.maximum(norms, 1e-3)
+    return a / np.maximum(norms, _COLUMN_FLOOR)
 
 
 def _spanning_sv(cols: np.ndarray) -> float:
@@ -657,6 +828,68 @@ def is_T_transverse(
         verdicts[member.name] = v
         ok = ok and v.ok
     return TransversalityResult(ok=ok, verdicts=verdicts)
+
+
+def _affine_stratum(sigma: SmoothSimplexMap, member: CornerManifold, active: tuple[int, ...]):
+    """The equations of a level-set stratum and their constraint rows in
+    ``sigma``'s tangent frame, when the equations are affine, so the rows
+    are the same at every point, and pass ``_level_set_tangent``'s rank
+    test; else None.  A stratum that fails the test raises ``RankDrop`` at
+    the first point located on it, so only the locus finder may settle it."""
+    eqs = [member.level] + [member.inequalities[a] for a in active]
+    if any(e.total_degree() > 1 for e in eqs):
+        return None
+    z = np.zeros(sigma.ambient.ambient_dim)
+    rows = np.concatenate([e.jac_many(z) for e in eqs], axis=1)[0] @ sigma.ambient.tangent_basis(z)
+    if not np.isfinite(rows).all():
+        return None
+    try:
+        _level_set_tangent(member, rows, z)
+    except RankDrop:
+        return None
+    return eqs, rows
+
+
+def is_T_transverse_ok(
+    sigma: SmoothSimplexMap,
+    members: TCollection,
+    tol_rank: float = 1e-6,
+    opts: LocusOptions = LocusOptions(),
+) -> bool:
+    """``is_T_transverse(sigma, members, tol_rank, opts=opts).ok``, for
+    callers that read only the verdict.
+
+    A simplex depth is left out of a member's sweep when every face at that
+    depth is certified against every stratum of the member (``_transverse``):
+    no point located there has a spanning value below 10 tol_rank, so it
+    could neither fail the verdict nor start an escalation.  The other
+    depths go to ``is_transverse_pair``.  Only an unprojected map in a
+    Euclidean ambient against a level-set member whose strata are all
+    affine and of full rank is certified; anything else is swept whole.
+    A map with a non-finite coefficient raises ``NonFiniteMap``."""
+    finite_flatten(sigma)
+    n = sigma.dim
+    faces: dict[tuple[int, ...], SmoothSimplexMap] = {}
+
+    def face(vanishing):
+        kept = tuple(i for i in range(n + 1) if i not in vanishing)
+        if kept not in faces:
+            faces[kept] = sigma.restrict(face_for_vertices(n, kept))
+        return faces[kept]
+
+    ok = True
+    for member in members:
+        strata = [None]
+        if (member.kind == LEVEL_SET and not sigma.project_flag
+                and sigma.ambient.kind == "euclidean"):
+            strata = [_affine_stratum(sigma, member, active) for ell in member.depths()
+                      for active in member.descriptors(ell)]
+        rest = [k for k in range(n + 1) if None in strata or not all(
+            _transverse(face(vanishing), eqs, rows, tol_rank, opts.tau_root)
+            for vanishing in itertools.combinations(range(n + 1), k) for eqs, rows in strata)]
+        if rest:
+            ok = is_transverse_pair(sigma, member, tol_rank, rest, opts).ok and ok
+    return ok
 
 
 @dataclass

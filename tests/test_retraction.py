@@ -467,3 +467,59 @@ def test_keyed_index_matches_a_linear_scan(monkeypatch):
             results.append((res.ok, list(fam.records), fam.report()))
         assert results[0][0]
         assert results[0] == results[1]
+
+
+def test_vertex_gap_rejects_only_maps_the_coefficient_test_rejects(monkeypatch):
+    """_degenerate_at agrees with restricting by delta_j o s_j and comparing
+    every coefficient: on random maps, which never reach the restriction;
+    on degenerate maps; and on degenerate maps whose powers of x_j moved by
+    0.9 _DEGENERATE_TOL each, which the coefficient test still accepts with
+    vertices j and j + 1 up to 2.7 _DEGENERATE_TOL apart.  Half the maps
+    carry a bump.  Without its factor g + 1 on _DEGENERATE_TOL the
+    allowance would reject some of the last."""
+    rng = np.random.default_rng(12)
+    tol = retraction._DEGENERATE_TOL
+    restrict = SmoothSimplexMap.restrict
+    restricted = [0]
+
+    def counting(m, beta):
+        restricted[0] += 1
+        return restrict(m, beta)
+
+    def reference(m, j):
+        collapse = DeltaMorphism.face(j, m.dim).compose(DeltaMorphism.degeneracy(j, m.dim))
+        return maps_close(m, restrict(m, collapse), tol)
+
+    def random_map(n, g, size=1.0):
+        terms = {e: rng.normal(size=2) * size * 10 ** rng.uniform(-2, 0.5)
+                 for e in monomial_exponents(n, g)}
+        m = SmoothSimplexMap.from_poly(PolyMap(n, 2, terms), plane())
+        if rng.random() < 0.5:
+            m = m.with_bump(rng.normal(size=2), amplitude=float(rng.uniform(0.01, 0.3)))
+        return m
+
+    monkeypatch.setattr(SmoothSimplexMap, "restrict", counting)
+    for _ in range(40):
+        m = random_map(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        for j in range(m.dim):
+            assert not retraction._degenerate_at(m, j) and not reference(m, j)
+    assert restricted[0] == 0
+    apart = 0
+    for _ in range(40):
+        n, g = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        j = int(rng.integers(1, n))
+        # small coefficients keep the rounding allowance below the moves
+        m = restrict(random_map(n - 1, g, 1e-2), DeltaMorphism.degeneracy(j, n))
+        assert retraction._degenerate_at(m, j) and reference(m, j)
+        terms = dict(m.poly.terms)
+        sign = rng.choice([-1.0, 1.0])
+        for p in range(1, g + 1):
+            e = tuple(p if i == j - 1 else 0 for i in range(n))
+            terms[e] = terms.get(e, np.zeros(2)) + sign * 0.9 * tol
+        moved = SmoothSimplexMap(m.domain, m.ambient, PolyMap(n, 2, terms), bumps=m.bumps)
+        expected = reference(moved, j)
+        assert retraction._degenerate_at(moved, j) == expected
+        flat = moved.flatten()
+        gap = np.abs(retraction._at_vertex(flat, j)[0] - retraction._at_vertex(flat, j + 1)[0])
+        apart += expected and gap.max() > 2 * tol
+    assert apart > 5

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib.util
 import itertools
@@ -17,6 +18,7 @@ from transim.scenarios import (
     meridian_arcs,
     meridian_member,
     origin_member,
+    perturbation_cases,
     plane,
     random_transverse_cubic,
     shifted_longitude_arcs,
@@ -916,3 +918,288 @@ def test_cluster_matches_the_pairwise_greedy():
                 member_active=(), z=row[k:], residual=residual))
         with np.errstate(invalid="ignore"):
             assert transversal._cluster(points) == _pairwise_greedy(points)
+
+
+# -- the transversality certificate --------------------------------------------------
+
+_TOL = 1e-6
+_TAU = LocusOptions().tau_root
+
+
+def _pair_verdicts(sigma, member):
+    """The certificate's verdict on every pair of a face of dimension k >= c
+    and a stratum of the member, keyed by (vanishing, active)."""
+    n = sigma.dim
+    out = {}
+    for ell in member.depths():
+        for active in member.descriptors(ell):
+            eqs, rows = transversal._affine_stratum(sigma, member, active)
+            for k in range(len(rows), n + 1):
+                for kept in itertools.combinations(range(n + 1), k + 1):
+                    vanishing = tuple(i for i in range(n + 1) if i not in kept)
+                    face = sigma.restrict(face_for_vertices(n, kept))
+                    out[vanishing, active] = transversal._transverse(face, eqs, rows, _TOL, _TAU)
+    return out
+
+
+def _map(n, comps):
+    """A plane n-simplex map from {exponent: (x, y)}."""
+    return SmoothSimplexMap.from_poly(
+        PolyMap(n, 2, {e: np.array(v, dtype=float) for e, v in comps.items()}), plane())
+
+
+def _scaled_crossings():
+    """Triangles (u - 0.3, eps (v - 0.35)) through the origin, whose one
+    spanning value is 1000 eps, and edges (t, eps (t - 0.4)) across the
+    axis, whose one spanning value is about eps / sqrt(2): both on either
+    side of 10 tol_rank."""
+    triangles = [_map(2, {(0, 0): (-0.3, -0.35 * eps), (1, 0): (1, 0), (0, 1): (0, eps)})
+                 for eps in (5e-9, 9e-9, 3e-8, 1e-7)]
+    edges = [_map(1, {(0,): (0, -0.4 * eps), (1,): (1, eps)}) for eps in (5e-6, 1.2e-5, 3e-5, 1e-4)]
+    return triangles, edges
+
+
+def _bumped(cubic_maps):
+    """Perturbed cubics (degree 4 inside) and perturbed faces of cubics
+    (degree 3 inside), as perturb_to_transverse builds them."""
+    out = []
+    for i, c in enumerate(cubic_maps[:2]):
+        for sigma in (c, c.restrict(DeltaMorphism.face(0, 3))):
+            bumped = perturb_to_transverse(sigma, TCollection.of(origin_member()), seed=i)
+            assert bumped.sigma_prime.bumps
+            out.append(dataclasses.replace(bumped.sigma_prime))
+    return out
+
+
+def test_certified_pairs_give_newton_no_point_below_ten_tol_rank(monkeypatch, cubic_maps):
+    """Newton, forced on every pair the certificate settles, keeps no point
+    with a spanning value below 10 tol_rank, at 8 cells and, on the edges,
+    one cubic, one bumped triangle and the scaled crossings, at 32 cells
+    (a tetrahedron's curve or surface of roots takes about a second there)."""
+    origin, axis = origin_member(), line_member()
+    bumped = _bumped(cubic_maps)
+    triangles, edges = _scaled_crossings()
+    cases = [(s, m) for s in cubic_maps[:6] + bumped for m in (origin, axis)]
+    cases += [(s, origin) for s in triangles] + [(s, axis) for s in edges]
+    settled = [(sigma, member, pair) for sigma, member in cases
+               for pair, ok in _pair_verdicts(sigma, member).items() if ok]
+    monkeypatch.setattr(transversal, "_root_free", lambda *args: False)
+    tally, located = collections.Counter(), 0
+    for sigma, member, (vanishing, active) in settled:
+        k = sigma.dim - len(vanishing)
+        tally[member.name, k, bool(sigma.bumps)] += 1
+        dense = k == 1 or any(sigma is s for s in [cubic_maps[0], bumped[1], *triangles])
+        for cells in (8, 32) if dense else (8,):
+            report = transversal._solve_descriptor_pair(
+                sigma, member, vanishing, active, cells, LocusOptions(cells_per_dim=cells))
+            located += len(report.points)
+            assert all(p.spanning_sv >= 10 * _TOL for p in report.points), (member.name, k)
+    for name, least in (("origin", 2), ("axis", 1)):
+        for k in range(least, 4):
+            assert tally[name, k, False] > 0 and tally[name, k, True] > 0, (name, k)
+    # the scaled crossings settle only where their spanning value is above
+    # 10 tol_rank, and some of them are settled
+    scaled = [s for s, _, _ in settled if s in triangles or s in edges]
+    assert triangles[2] in scaled and edges[2] in scaled
+    assert triangles[1] not in scaled and edges[1] not in scaled
+    assert located > 2000
+
+
+def _folds():
+    """Maps through the origin, or onto the axis, whose differential drops
+    rank at a point of the member: the tangent triangle (u - 1/3, (v -
+    1/3)^2), rotated folds and cusps, and saddles and touching paraboloids
+    over the axis.  Each is paired with its member."""
+    origin, axis = origin_member(), line_member()
+    out = [(_map(2, {(0, 0): (-1 / 3, 1 / 9), (1, 0): (1, 0), (0, 1): (0, -2 / 3),
+                     (0, 2): (0, 1)}), origin)]
+    centres = ((0.2, 0.3, 0.25), (0.3, 0.2, 0.1), (0.1, 0.4, 0.3))
+    for phi, (a, b, c) in zip((0.0, 0.7, 2.1), centres):
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        for sign in (1.0, -1.0):
+            # (u - a, (v - b)^2 + sign (w - c)^2), rotated
+            comps = {(0, 0, 0): (-a, b * b + sign * c * c), (1, 0, 0): (1, 0),
+                     (0, 1, 0): (0, -2 * b), (0, 0, 1): (0, -2 * sign * c),
+                     (0, 2, 0): (0, 1), (0, 0, 2): (0, sign)}
+            out.append((_map(3, {e: rot @ np.array(v, dtype=float) for e, v in comps.items()}),
+                        origin))
+        comps = {(0, 0): (-a, b * b), (1, 0): (1, 0), (0, 1): (0, -2 * b), (0, 2): (0, 1)}
+        out.append((_map(2, {e: rot @ np.array(v, dtype=float) for e, v in comps.items()}),
+                    origin))
+        out.append((_map(1, {(0,): (0, a * a), (1,): (1, -2 * a), (2,): (0, 1)}), axis))
+        out.append((_map(2, {(0, 0): (0, a * b), (1, 0): (1, -b), (0, 1): (0, -a),
+                             (1, 1): (0, 1)}), axis))
+        out.append((_map(3, {(0, 0, 0): (c, a * a + b * b), (1, 0, 0): (0, -2 * a),
+                             (0, 1, 0): (0, -2 * b), (0, 0, 1): (1, 0), (2, 0, 0): (0, 1),
+                             (0, 2, 0): (0, 1)}), axis))
+    return out
+
+
+def test_tangencies_and_folds_are_never_certified():
+    """The fold pairs and the segments inside the axis are never settled,
+    and the transverse twin of the tangent triangle, (u - 1/3, (v - 1/3) +
+    (v - 1/3)^2), is.  (Not every fold fails ``is_T_transverse``: Newton
+    stops within about 1e-5 of the tangent triangle's double root, where
+    its spanning value is 6e-4.)"""
+    cases = _folds() + [(c.sigma, c.members.members[0]) for c in perturbation_cases()
+                        if c.name.startswith("segment-in-axis")]
+    assert len(cases) == 26
+    for sigma, member in cases:
+        assert not _pair_verdicts(sigma, member)[(), ()], member.name
+    twin = _map(2, {(0, 0): (-1 / 3, -2 / 9), (1, 0): (1, 0), (0, 1): (0, 1 / 3), (0, 2): (0, 1)})
+    assert all(_pair_verdicts(twin, origin_member()).values())
+    assert is_T_transverse(twin, TCollection.of(origin_member())).ok
+
+
+def test_every_minor_can_settle_a_pair():
+    """For each minor m_S of a tetrahedron against the origin, and each
+    partial against the axis, a map on which it is the only nonzero one is
+    certified: no minor of the stacked system can be left out."""
+    cases = []
+    for p, q in itertools.combinations(range(3), 2):
+        units = np.eye(3, dtype=int)
+        cases.append((_map(3, {(0, 0, 0): (-0.2, -0.3), tuple(units[p]): (1, 0),
+                               tuple(units[q]): (0, 1)}), origin_member()))
+    for p in range(3):
+        units = np.eye(3, dtype=int)
+        cases.append((_map(3, {(0, 0, 0): (0.1, -0.25), tuple(units[p]): (0, 1),
+                               tuple(units[(p + 1) % 3]): (1, 0)}), line_member()))
+    for sigma, member in cases:
+        assert _pair_verdicts(sigma, member)[(), ()]
+        assert is_T_transverse(sigma, TCollection.of(member)).min_sv >= 10 * _TOL
+
+
+def _exact_minors(r, k, c):
+    """The c x c minors of Dr in exact arithmetic, one per c-subset of the k
+    face coordinates in ``itertools.combinations`` order, from r's
+    components as {exponent: Fraction}."""
+    def partial(p, j):
+        return {e[:j] + (e[j] - 1,) + e[j + 1:]: e[j] * v for e, v in p.items() if e[j]}
+
+    grads = [[partial(p, j) for j in range(k)] for p in r]
+    out = []
+    for cols in itertools.combinations(range(k), c):
+        total = {}
+        for perm in itertools.permutations(range(c)):
+            sign = (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))
+            term = {(0,) * k: Fraction(sign)}
+            for i, p in enumerate(perm):
+                term = _fraction_product(term, grads[i][cols[p]])
+            for e, v in term.items():
+                total[e] = total.get(e, 0) + v
+        out.append(total)
+    return out
+
+
+def test_critical_system_bounds_hold_in_exact_arithmetic(cubic_maps):
+    """Every control point of the critical system (r and the minors of Dr)
+    is within its column's allowance of the exact one, computed with
+    Fractions from the map's stored data; and rounding does move some minor
+    control points, so the minors' allowance is tested.  Faces: every face
+    with k >= c of two fixture cubics, a bumped cubic and a bumped
+    triangle, and the scaled crossings, against the origin and the axis."""
+    faces = [sigma.restrict(face_for_vertices(3, kept)) for sigma in cubic_maps[:2]
+             for r in range(2, 5) for kept in itertools.combinations(range(4), r)]
+    faces += [cubic_maps[3].with_bump(np.array([0.6, -0.8]), amplitude=0.15),
+              cubic_maps[4].restrict(face_for_vertices(3, (0, 1, 3)))
+              .with_bump(np.array([-0.28, 0.96]), amplitude=0.15)]
+    faces += [s for group in _scaled_crossings() for s in group]
+    checked = moved = 0
+    for face in faces:
+        for member in (origin_member(), line_member()):
+            eqs, rows = transversal._affine_stratum(face, member, ())
+            c = len(rows)
+            if face.dim < c:
+                continue
+            ctrl, degree, bounds, errors = transversal._critical_system(face, eqs, rows, _TOL, _TAU)
+            r = _exact_residual(face, eqs)
+            exact = _exact_control_points(r + _exact_minors(r, face.dim, c), face.dim, degree)
+            assert np.all(bounds > 0) and len(exact) == ctrl.shape[1]
+            index = _bernstein_indices(face.dim, degree)
+            for column, comp, allowance in zip(ctrl.T, exact, errors):
+                diffs = [abs(Fraction(x) - comp[alpha]) for alpha, x in zip(index, column)]
+                assert max(diffs) <= Fraction(allowance)
+                checked += len(diffs)
+            moved += any(Fraction(x) != comp[alpha] for column, comp in zip(ctrl.T[c:], exact[c:])
+                         for alpha, x in zip(index, column))
+    assert checked > 1500 and moved > 20
+
+
+# -- the verdict-only entry point -----------------------------------------------------
+
+
+def _both_verdicts(sigma, members, tol_rank=_TOL, opts=LocusOptions()):
+    """is_T_transverse_ok and is_T_transverse(...).ok on fresh copies."""
+    return (transversal.is_T_transverse_ok(dataclasses.replace(sigma), members, tol_rank, opts),
+            is_T_transverse(dataclasses.replace(sigma), members, tol_rank, opts=opts).ok)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_verdict_only_check_matches_every_generation_attempt(monkeypatch, seed):
+    """Every cubic the cocycle stream draws at this seed, accepted or not."""
+    from transim import scenarios
+
+    verdicts = []
+
+    def both(sigma, members, tol_rank, opts):
+        verdicts.append(_both_verdicts(sigma, members, tol_rank, opts))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(scenarios, "is_T_transverse_ok", both)
+    rng = np.random.default_rng([seed, 29])
+    for _ in range(50):
+        random_transverse_cubic(rng, origin_member())
+    assert len(verdicts) >= 50
+    assert all(got == ref for got, ref in verdicts)
+
+
+def test_verdict_only_check_matches_on_constructed_inputs(edge_triangle, crossing_triangle):
+    """The perturbation cases, the edge through the origin, the tangent
+    crossing, the folds of dimension at most 2 (the others escalate to 64
+    cells, for seconds each) and the scaled crossings, against their
+    members and against both plane members at once."""
+    origin, axis = origin_member(), line_member()
+    triangles, edges = _scaled_crossings()
+    cases = [(c.sigma, c.members) for c in perturbation_cases()]
+    cases += [(arc, TCollection.of(meridian_member())) for arc in tangent_longitude_arcs()]
+    cases += [(s, TCollection.of(m)) for s, m in _folds()
+              if s.dim == 1 or s.dim == 2 and m.name == "origin"]
+    cases += [(s, TCollection.of(origin, axis))
+              for s in (edge_triangle, crossing_triangle, *triangles, *edges)]
+    outcomes = collections.Counter()
+    for sigma, members in cases:
+        got, ref = _both_verdicts(sigma, members)
+        assert got == ref, [m.name for m in members]
+        outcomes[ref] += 1
+    assert outcomes[True] >= 8 and outcomes[False] >= 25
+
+
+def test_an_uncertified_depth_is_swept_alone_and_escalates(monkeypatch):
+    """A triangle through the origin with spanning value 5e-6 certifies its
+    edges and vertices but not its interior, so only depth 0 is swept, and
+    that sweep escalates the cells; the twin with 5e-7 fails there too."""
+    swept = []
+    pair = transversal.is_transverse_pair
+
+    def recording(*args):
+        swept.append(pair(*args))
+        swept[-1].depths = args[3]
+        return swept[-1]
+
+    monkeypatch.setattr(transversal, "is_transverse_pair", recording)
+    for eps, verdict in ((5e-9, True), (5e-10, False)):
+        swept.clear()
+        sigma = _map(2, {(0, 0): (-0.3, -0.35 * eps), (1, 0): (1, 0), (0, 1): (0, eps)})
+        assert transversal.is_T_transverse_ok(sigma, TCollection.of(origin_member())) is verdict
+        [(v)] = swept
+        assert v.depths == [0] and v.report.cells_used > LocusOptions().cells_per_dim
+        assert is_T_transverse(dataclasses.replace(sigma), TCollection.of(origin_member())
+                               ).ok is verdict
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verdict_only_check_of_a_non_finite_map_raises(bad):
+    edge = SmoothSimplexMap.affine_from_vertices(np.array([[-1.0, 0.2], [1.0, bad]]), plane())
+    for check in (transversal.is_T_transverse_ok, is_T_transverse):
+        with pytest.raises(NonFiniteMap):
+            check(edge, TCollection.of(origin_member()))

@@ -2,7 +2,8 @@
 oracle, a second fresh round gives it the same digest, and so does a third
 round under the benchmark tracer.  Skipping Newton on faces certified
 root-free changes no digest, and neither do the reuse paths of the record
-index, the kernel results and the lattices."""
+index, the kernel results and the lattices, nor the depths that the
+transversality certificate settles for verdict-only checks."""
 
 import collections
 import importlib.util
@@ -114,3 +115,42 @@ def test_reference_lookup_construction_and_lattices_change_no_output(workloads, 
     # Newton, so it builds no lattice
     used = ["linear_scan", "PolyMap"] + ["principal_lattice"] * (name != "cocycle_plane")
     assert all(calls[k] for k in used)
+
+
+@pytest.mark.parametrize("name", ["cocycle_plane", "retraction_naturality"])
+def test_certified_depths_change_no_output(workloads, monkeypatch, name):
+    """Item 0 gives the same digest when every verdict-only check sweeps
+    all depths through ``is_T_transverse``, and in the run that certifies,
+    the certificate settled at least one depth."""
+    from transim import retraction, scenarios, transversal
+
+    check, pair = transversal.is_T_transverse_ok, transversal.is_transverse_pair
+    inside, depths = [], collections.Counter()
+
+    def verdict_only(sigma, members, tol_rank, opts):
+        depths["all"] += (sigma.dim + 1) * len(members)
+        inside.append(sigma)
+        try:
+            return check(sigma, members, tol_rank, opts)
+        finally:
+            inside.pop()
+
+    def sweep(sigma, member, tol_rank=1e-6, simplex_depths=None, opts=None):
+        if inside:
+            depths["swept"] += len(simplex_depths)
+        return pair(sigma, member, tol_rank, simplex_depths, opts)
+
+    def full(sigma, members, tol_rank, opts):
+        return transversal.is_T_transverse(sigma, members, tol_rank, opts=opts).ok
+
+    workload = workloads.WORKLOADS[name](3)
+    for module in (scenarios, retraction):
+        monkeypatch.setattr(module, "is_T_transverse_ok", verdict_only)
+    monkeypatch.setattr(transversal, "is_transverse_pair", sweep)
+    workload.start_round()
+    certified = workload.item(0)
+    assert depths["swept"] < depths["all"]
+    for module in (scenarios, retraction):
+        monkeypatch.setattr(module, "is_T_transverse_ok", full)
+    workload.start_round()
+    assert workload.item(0) == certified
