@@ -973,13 +973,11 @@ def _bumped(cubic_maps):
 
 def test_certified_pairs_give_newton_no_point_below_ten_tol_rank(monkeypatch, cubic_maps):
     """Newton, forced on every pair the certificate settles, keeps no point
-    with a spanning value below 10 tol_rank, at 8 cells and, on the edges,
-    one cubic, one bumped triangle and the scaled crossings, at 32 cells
-    (a tetrahedron's curve or surface of roots takes about a second there)."""
+    with a spanning value below 10 tol_rank, at 8 and at 32 cells."""
     origin, axis = origin_member(), line_member()
     bumped = _bumped(cubic_maps)
     triangles, edges = _scaled_crossings()
-    cases = [(s, m) for s in cubic_maps[:6] + bumped for m in (origin, axis)]
+    cases = [(s, m) for s in cubic_maps[:4] + bumped for m in (origin, axis)]
     cases += [(s, origin) for s in triangles] + [(s, axis) for s in edges]
     settled = [(sigma, member, pair) for sigma, member in cases
                for pair, ok in _pair_verdicts(sigma, member).items() if ok]
@@ -988,8 +986,7 @@ def test_certified_pairs_give_newton_no_point_below_ten_tol_rank(monkeypatch, cu
     for sigma, member, (vanishing, active) in settled:
         k = sigma.dim - len(vanishing)
         tally[member.name, k, bool(sigma.bumps)] += 1
-        dense = k == 1 or any(sigma is s for s in [cubic_maps[0], bumped[1], *triangles])
-        for cells in (8, 32) if dense else (8,):
+        for cells in (8, 32):
             report = transversal._solve_descriptor_pair(
                 sigma, member, vanishing, active, cells, LocusOptions(cells_per_dim=cells))
             located += len(report.points)
