@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import math
 import operator
 from dataclasses import dataclass
 
@@ -35,7 +34,8 @@ from .simplex_geom import (
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap, _abs_bound, finite_flatten, maps_close
+from .smooth_maps import (SmoothSimplexMap, _abs_bound, _restriction_rounding, finite_flatten,
+                          maps_close)
 from .transversal import (
     LocusOptions,
     TCollection,
@@ -100,19 +100,15 @@ def _degenerate_at(m: SmoothSimplexMap, j: int) -> bool:
     Q = P o (delta_j o s_j), so Q(v_j) = P(v_(j+1)).  If every coefficient
     of F - G is within tol = _DEGENERATE_TOL (to a factor 1 + u), the at
     most g + 1 terms that do not vanish at v_j give |F(v_j) - G(v_j)| <= (g
-    + 1) tol.  F and G are built from the stored data by + and *, with at
-    most h = 2 ((g + 1) (n + 3) + n K + T + B) roundings on a path (g, T, B
-    the degree, term and bump counts, K = C(g + n, n) a product's terms), so
-    by Higham's rule (see ``transversal._control_points``) their
-    coefficients are within gamma_h of P's and Q's in total over the terms,
-    relative to Z and (n + 1)^g Z, Z from ``smooth_maps._abs_bound``: an
-    affine row of the realization has absolute sum at most n + 1.  Summing
-    the vertex values adds gamma_(g+1) of their absolute sums, and 1 +
-    gamma_16 covers the roundings of the difference and of the bound."""
+    + 1) tol.  By ``smooth_maps._restriction_rounding``, with rho = 1 for F
+    and n + 1 for G, their coefficients are within gamma_h Z and gamma_h (n +
+    1)^g Z of P's and Q's in total over the terms.  Summing the vertex values
+    adds gamma_(g+1) of their absolute sums, and 1 + gamma_16 covers the
+    roundings of the difference and of the bound."""
     n, g = m.dim, m.degree()
     flat = m.flatten()
     (a, size_a), (b, size_b) = _at_vertex(flat, j), _at_vertex(flat, j + 1)
-    h = 2 * ((g + 1) * (n + 3) + n * math.comb(g + n, n) + len(m.poly.terms) + len(m.bumps))
+    h = _restriction_rounding(m)
     allowance = (1 + _gamma(16)) * ((g + 1) * _DEGENERATE_TOL
                                     + _gamma(2 * h) * (1 + (n + 1) ** g) * _abs_bound(m)
                                     + _gamma(g + 1) * (size_a + size_b))

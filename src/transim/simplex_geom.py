@@ -10,14 +10,15 @@ the facet opposite vertex i.  Monotone maps between the index sets [n] are
 realized as affine maps between these models; realization is exact because
 the matrices involved have 0/1 entries.
 
-Both Bernstein tables of transim live here, each cached per (k, degree).
+Every Bernstein table of transim lives here, each cached per (k, degree).
 ``_bernstein_polys`` is the basis B_beta = degree!/beta! lambda^beta of
 Delta^k itself, one component per multi-index in ``principal_lattice``
 order (beta_0 first); the smoothing stage interpolates in it.
 ``_bernstein`` takes monomial coefficients, in ``monomial_exponents`` order,
 to control points on the same index set, its rows and columns in that
 monomial order with beta_0 = degree - |beta'| implied, and gives the de
-Casteljau halves; the root-free test bounds residuals with it.
+Casteljau halves.  The exclusion tests work on such nets (``_control_net``)
+by the row tables of faces, partial derivatives and products below.
 """
 
 from __future__ import annotations
@@ -275,3 +276,61 @@ def _bernstein(k: int, degree: int):
                 math.comb(t, q) / 2**t, math.comb(s - t, q - t) / 2**(s - t) if q >= t else 0)
     to_bernstein.flags.writeable = halves.flags.writeable = False  # shared by every caller
     return row, to_bernstein, halves
+
+
+def _control_net(p: PolyMap, degree: int) -> np.ndarray:
+    """The control points of p of that degree (at least p's) on Delta^nvars,
+    shape (K, ncomp), rows in ``_bernstein`` order."""
+    row, to_bernstein, _ = _bernstein(p.nvars, degree)
+    coeffs = np.zeros((len(row), p.ncomp))
+    for a, v in p.terms.items():
+        coeffs[row[a]] = v
+    return to_bernstein @ coeffs
+
+
+@functools.cache
+def _face_rows(n: int, degree: int, kept: tuple[int, ...]) -> np.ndarray:
+    """The rows of a net of that degree on Delta^n whose indices vanish off
+    the face ``kept``, v_0 < ... < v_k, in the face's own order: the face
+    map's net, as B_alpha restricts to 0 or to the face's B_beta, beta_j =
+    alpha_(v_j) (Farouki, "The Bernstein polynomial basis: a centennial
+    retrospective", CAGD 2012, section 4)."""
+    row = _bernstein(n, degree)[0]
+    rows = np.array([row[tuple(dict(zip(kept, (degree - sum(b), *b))).get(i, 0)
+                               for i in range(1, n + 1))]
+                     for b in monomial_exponents(len(kept) - 1, degree)], dtype=np.intp)
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
+@functools.cache
+def _partial_rows(k: int, degree: int) -> np.ndarray:
+    """Rows (plus, minus), shape (2, k, K): d/dx_j of the map with the net b
+    of that degree on Delta^k has the net degree (b[plus[j]] - b[minus[j]])
+    of degree - 1, plus at beta + e_j and minus at beta + e_0, as d
+    lambda_j/dx_j = 1 = -d lambda_0/dx_j."""
+    row = {a: r for r, a in enumerate(monomial_exponents(k, degree))}
+    lower = monomial_exponents(k, degree - 1)
+    rows = np.array([[[row[b[:j] + (b[j] + 1,) + b[j + 1:]] for b in lower] for j in range(k)],
+                     [[row[b] for b in lower]] * k], dtype=np.intp)
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
+@functools.cache
+def _product_weights(k: int, p: int, q: int) -> np.ndarray:
+    """W: nets a and b of degrees p and q on Delta^k, shapes (K_p, m) and
+    (K_q, m), multiply to the net W @ (a[:, None] * b[None]).reshape(K_p K_q,
+    m) of degree p + q.  W[gamma, (alpha, beta)] = C(p, alpha) C(q, beta) /
+    C(p + q, gamma) for alpha + beta = gamma, multinomials, rounded once:
+    each row lies in [0, 1] and sums to 1."""
+    def multinomial(degree, a):
+        return math.factorial(degree) // math.prod(map(math.factorial, (degree - sum(a), *a)))
+
+    left, right, row = monomial_exponents(k, p), monomial_exponents(k, q), _bernstein(k, p + q)[0]
+    weights = np.zeros((len(row), len(left), len(right)))
+    for (i, a), (j, b) in itertools.product(enumerate(left), enumerate(right)):
+        c = tuple(map(sum, zip(a, b)))
+        weights[row[c], i, j] = multinomial(p, a) * multinomial(q, b) / multinomial(p + q, c)
+    weights.flags.writeable = False  # shared by every caller
+    return weights.reshape(len(row), -1)

@@ -253,6 +253,22 @@ def _abs_bound(m: SmoothSimplexMap) -> np.ndarray:
     return z
 
 
+def _restriction_rounding(m: SmoothSimplexMap) -> int:
+    """h = 2 ((g + 1) (n + 3) + n K + T + B), K = C(g + n, n), g, T and B m's
+    degree, term and bump counts on Delta^n: ``restrict`` substitutes a
+    realization into m's stored data, a product of at most K terms and n
+    factors, and ``flatten``, ``raw_many`` and ``jacobian_many`` work on the
+    result, with at most h roundings on any path.  By Higham's rule (see
+    ``transversal._gamma``), if the realization's rows [matrix | offset]
+    have absolute sums at most rho (n + 1 always, 1 through vertex 0), the
+    coefficients of flatten(m.restrict(beta)) are within gamma_h rho^g Z of
+    P o realization's in total over the terms, P the exact raw map of m's
+    stored data and Z = ``_abs_bound(m)``; so are its values on its
+    simplex, and its partial derivatives are within gamma_h g rho^g Z."""
+    n, g = m.dim, m.degree()
+    return 2 * ((g + 1) * (n + 3) + n * math.comb(g + n, n) + len(m.poly.terms) + len(m.bumps))
+
+
 def maps_close(a: SmoothSimplexMap, b: SmoothSimplexMap, tol: float = 1e-10) -> bool:
     """Structural equality of two representable maps up to coefficient noise."""
     if a.dim != b.dim or a.project_flag != b.project_flag:

@@ -14,25 +14,26 @@ kept point its spanning margin from the face map, the face coordinates and
 the stratum's constraints or chart coordinates that the solve already
 holds.
 
-Where the face residual is a polynomial (an unprojected simplex map against
-a level-set member), a Bernstein exclusion test runs first.  It certifies
-that Newton's float residual stays above ``tau_root`` in max norm on the
-whole closed face, so Newton, which would keep no point there, is skipped.
-Its control points come from the coefficients of r = e o flatten(sigma_f),
-and its allowance for rounding is derived: Higham's gamma_n times a bound
-from the coefficients' magnitudes (see ``_control_points``).  Located
-points are still numerical: completeness elsewhere is heuristic and is
-guarded by the density escalation in ``is_transverse_pair``, so a verdict
-with points is a numerical statement about them, not a certificate.
+Where the face residual has a Bernstein net (an unprojected map against a
+level-set stratum with affine equations), an exclusion test runs first.  It
+certifies that Newton's float residual stays above ``tau_root`` in max norm
+on the whole closed face, so Newton, which would keep no point there, is
+skipped and the face is never restricted.  Its data is the map's control
+net (a face's net is a selection of rows, r's net the equations applied to
+it), and its rounding allowance is derived (see ``_residual_net``).  Curved
+strata go to Newton.  Located points are still numerical: completeness
+elsewhere is heuristic and is guarded by the density escalation in
+``is_transverse_pair``, so a verdict with points is a numerical statement
+about them, not a certificate.
 
 Callers that read only the verdict use ``is_T_transverse_ok``.  Where the
 equations of a stratum are affine, the same exclusion runs on the critical
-system (r, the c x c minors of Dr), scaled so that a certified face pair
-has no point Newton could keep with a spanning value below 10 tol_rank
-(see ``_transverse``).  A simplex depth whose pairs all certify is left out
-of the sweep, which cannot change the verdict, and the rest is swept as in
-``is_T_transverse``.  ``is_T_transverse``, ``is_transverse_pair`` and the
-reports they make are unchanged.
+system (r, the c x c minors of Dr), built from the same nets and scaled so
+that a certified face pair has no point Newton could keep with a spanning
+value below 10 tol_rank (see ``_transverse``).  A simplex depth whose pairs
+all certify is left out of the sweep, which cannot change the verdict, and
+the rest is swept as in ``is_T_transverse``.  ``is_T_transverse``,
+``is_transverse_pair`` and the reports they make are unchanged.
 """
 
 from __future__ import annotations
@@ -46,16 +47,20 @@ import numpy as np
 
 from .ambient import AmbientManifold
 from .errors import OutOfTube, RankDrop, TrialsExhausted
-from .poly import PolyMap, _product, _substitute, _sum_terms, point_block
+from .poly import PolyMap, point_block
 from .simplex_geom import (
     _bernstein,
+    _control_net,
+    _face_rows,
+    _partial_rows,
+    _product_weights,
     barycentrics_many,
     collapse_to_simplex,
     face_for_vertices,
     realize_morphism,
     simplex_grid,
 )
-from .smooth_maps import SmoothSimplexMap, _abs_bound, finite_flatten
+from .smooth_maps import SmoothSimplexMap, _abs_bound, _restriction_rounding, finite_flatten
 
 __all__ = [
     "CornerManifold",
@@ -251,9 +256,10 @@ class IntersectionReport:
     """Located points of one or more stratum pairs.
 
     ``newton_failures`` counts the seeds that stall inside the open face
-    with a residual above 1e-6, on faces where Newton ran.  A face that the
-    root-free test certifies skips Newton and reports 0, so the count
-    depends on which faces the exclusion certifies, not only on the map."""
+    with a residual above 1e-6, on faces where Newton ran: always on a
+    curved stratum.  A face that the root-free test certifies from the
+    parent map's net skips Newton and reports 0, so the count depends on
+    which faces the exclusion certifies, not only on the map."""
 
     points: list[IntersectionPoint] = field(default_factory=list)
     newton_failures: int = 0
@@ -305,62 +311,48 @@ def _batched_newton(linearize, seeds: np.ndarray, opts: LocusOptions,
 
 
 def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff."""
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff.  A
+    value built by + and * with at most n roundings on a path (a product
+    adds its operands' counts) is within gamma_n X of exact, X the same
+    expression on absolute values (Accuracy and Stability, Lemma 3.3)."""
     return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-def _residual(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int):
-    """The coefficients of r = e o flatten(sigma_f), shape (K, c), rows in
-    ``monomial_exponents(k, degree)`` order; the flattened map; Z (see
-    ``smooth_maps._abs_bound``); and S = max_i |e_i|(Z)."""
-    row, _, _ = _bernstein(sigma_f.dim, degree)
-    flat = sigma_f.flatten()
-    xs = [dict(zip(flat.terms, col))
-          for col in np.array(list(flat.terms.values())).reshape(-1, flat.ncomp).T.tolist()]
-    parts = [(_substitute(e.terms, xs, sigma_f.dim), e.ncomp) for e in eqs]
-    coeffs = np.concatenate([[r.get(a, np.zeros(c)) for a in row] for r, c in parts], axis=1)
-    z = _abs_bound(sigma_f)
+def _face_rho(kept: tuple[int, ...]) -> int:
+    """rho of ``smooth_maps._restriction_rounding`` for the face ``kept``:
+    1 through vertex 0, else k + 1 (the row 1 - sum w)."""
+    return 1 if kept[0] == 0 else len(kept)
 
-    def magnitude(e):  # max_i |e_i|(z), by e's own evaluation arrays
+
+def _residual_net(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
+                  degree: int, columns: int, depth: int):
+    """Control points of that degree of r = e o flatten(sigma) on the face
+    ``kept``, for affine e, shape (K, c); ``error``, bounding the rounding of
+    each, of d.b per unit of |d|_1 and of Newton's value of r_i on the face
+    map ``restrict`` makes, in a system of ``columns`` columns bisected
+    ``depth`` times; and S = max_i |e_i|(Z), Z from ``_abs_bound``.
+
+    The face's net is a selection of rows of flatten(sigma)'s net (from
+    ``nets``), and e of it is r's net, as the basis sums to 1.  Counting h =
+    ``_restriction_rounding`` for a coefficient of flatten, K + 1 for the
+    control matrix (entries in [0, 1]), K = C(degree + n, n), N + 1 for e,
+    degree + 2 per halving (convex weights) and c + 1 for d.b, each control
+    point is within gamma_n S of exact (``_gamma``), n = h + K + (degree +
+    2) L + N + c + 6.  Newton's r_i is within gamma_(h + N + 2) rho^g S of
+    exact, rho from ``_face_rho``.  As fl(S) >= (1 - gamma_n) S, ``error`` =
+    gamma_2n (1 + rho^g) fl(S) covers both."""
+    n, z = sigma.dim, _abs_bound(sigma)
+    face = nets(degree)[_face_rows(n, degree, kept)]
+
+    def magnitude(e):  # max_i |e_i|(Z), by e's own evaluation arrays
         deg, idx, coef, _, _ = e._eval_arrays()
-        return np.max(_sum_terms(np.abs(coef)[:, :, None] * e._monomials(z, deg, idx)[:, None, :]))
+        return float(np.max(np.abs(coef).T @ e._monomials(z, deg, idx)))
 
-    return coeffs, flat, z, float(max(map(magnitude, eqs)))
-
-
-def _rounding_count(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], terms: int,
-                    columns: int, depth: int) -> int:
-    """The count n of ``_control_points`` for K = ``terms``, c = ``columns``
-    and L = ``depth``."""
-    return ((max(e.total_degree() for e in eqs) + depth + 2)
-            * (terms + (sigma_f.degree() + 1) * (sigma_f.dim + 3) + len(sigma_f.poly.terms)
-               + len(sigma_f.bumps) + max(len(e.terms) for e in eqs)
-               + sigma_f.ambient.ambient_dim + columns))
-
-
-def _control_points(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], degree: int,
-                    depth: int = _EXCLUSION_DEPTH):
-    """Control points of that degree of r = e o flatten(sigma_f) on the face,
-    shape (nb, c), and ``error``, bounding the rounding of each one, of d.b
-    per unit of |d|_1 and of Newton's value of each r_i.
-
-    Built from the stored data by + and *, a value is within gamma_h X of its
-    exact value, X the same expression on absolute values and h the roundings
-    on its longest path, a product adding its operands' counts (Higham,
-    Accuracy and Stability, 3.1, Lemma 3.3).  A dict or matrix product adds
-    at most K = C(degree + k, k) here, and a value of sigma_f or a
-    coefficient of flatten at most F = (g + 1) (k + 3) + T + B (g, T, B: its
-    degree, term and bump counts).  With D_e and T_e the equations' degree
-    and most terms, N the ambient dimension and L the bisection depth, n =
-    (D_e + L + 2) (K + F + T_e + N + c) covers r's coefficients and Newton's
-    value (D_e factors of F + K, + T_e + N), the control points (+ (L + 2)
-    K), d.b (+ c) and fl(S).  As |w_j| <= 1 on the face, X <= S = max_i
-    |e_i|(Z), Z from ``smooth_maps._abs_bound``, and the control matrix
-    (entries in [0, 1]) and halvings (convex weights) keep X <= S; fl(S) >=
-    (1 - gamma_n) S, so ``error`` = gamma_2n fl(S) covers gamma_n S."""
-    coeffs, _, _, bound = _residual(sigma_f, eqs, degree)
-    n = _rounding_count(sigma_f, eqs, len(coeffs), coeffs.shape[1], depth)
-    return _bernstein(sigma_f.dim, degree)[1] @ coeffs, _gamma(2 * n) * bound
+    bound = max(map(magnitude, eqs))
+    count = (_restriction_rounding(sigma) + math.comb(degree + n, n) + (degree + 2) * depth
+             + sigma.ambient.ambient_dim + columns + 6)
+    error = _gamma(2 * count) * (1 + _face_rho(kept) ** sigma.degree()) * bound
+    return np.concatenate([e.eval_many(face) for e in eqs], axis=1), error, bound
 
 
 def _bisect(pieces: np.ndarray, ctrl: np.ndarray, halves: np.ndarray):
@@ -409,96 +401,95 @@ def _excluded(ctrl: np.ndarray, k: int, degree: int, tau: float, error: float,
     return False
 
 
-def _root_free(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], tau_root: float,
-               depth: int = _EXCLUSION_DEPTH) -> bool:
-    """True when Newton's float residual r~ of ``eqs`` on the unprojected face
-    map ``sigma_f`` provably keeps max |r~| > tau_root on the closed face:
-    ``_excluded`` gives max |r| > tau_root + error, and r~ is within
-    ``error`` of r (see ``_control_points``)."""
-    degree = sigma_f.degree() * max(e.total_degree() for e in eqs)
-    ctrl, error = _control_points(sigma_f, eqs, degree, depth)
-    return _excluded(ctrl, sigma_f.dim, degree, tau_root, error, depth)
+def _root_free(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
+               tau_root: float, depth: int = _EXCLUSION_DEPTH) -> bool:
+    """True when Newton's float residual r~ of ``eqs`` on the face ``kept``
+    of the unprojected map ``sigma`` provably keeps max |r~| > tau_root on
+    the closed face: ``_excluded`` gives max |r| > tau_root + error, and r~
+    is within ``error`` of r (see ``_residual_net``).  Curved equations
+    decline, as only an affine e takes sigma's net to e o sigma's."""
+    if any(e.total_degree() > 1 for e in eqs):
+        return False
+    degree = sigma.degree()
+    ctrl, error, _ = _residual_net(sigma, nets, kept, eqs, degree,
+                                   sum(e.ncomp for e in eqs), depth)
+    return _excluded(ctrl, len(kept) - 1, degree, tau_root, error, depth)
 
 
-@functools.cache
-def _lowered(k: int, degree: int) -> list[np.ndarray]:
-    """For d/dx_j, j < k, rows (r, s, a_j): the rows in ``monomial_exponents(k,
-    degree)`` order of each x^a with a_j > 0 and of x^(a - e_j)."""
-    row = _bernstein(k, degree)[0]
-    return [np.array([(r, row[a[:j] + (a[j] - 1,) + a[j + 1:]], a[j])
-                      for a, r in row.items() if a[j]], dtype=np.intp).reshape(-1, 3)
-            for j in range(k)]
+def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
+                     constraints: np.ndarray, tol_rank: float, tau_root: float):
+    """Control points of the critical system (r, m_S) of the k-face ``kept``
+    of sigma against c affine equations, k >= c, at the degree D = c d, d =
+    max(g - 1, ceil(g / c)), shape (K, c + M) with one minor m_S of Dr per
+    c-subset S of the face coordinates; D; each column's bound t (tau' for
+    r, mu_S for m_S, see ``_transverse``); and each column's rounding
+    allowance.
 
-
-def _critical_system(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints: np.ndarray,
-                     tol_rank: float, tau_root: float):
-    """Control points of the critical system (r, m_S) of a k-face against c
-    affine equations, k >= c, at the degree max(g, c (g - 1)), shape (nb, c +
-    M) with one minor m_S of Dr per c-subset S of the face coordinates; that
-    degree; each column's bound t (tau' for r, mu_S for m_S, see
-    ``_transverse``); and each column's rounding allowance.
-
-    r's allowance is ``_control_points``' at this degree and column count.
-    The minors come from r's coefficients, differentiated by coefficient
-    (one rounding), multiplied by ``poly._product`` ((c - 1) (K + 1) more)
-    and summed over the c! permutations (c! more).  On absolute values a
-    derivative's coefficients sum to at most g S, so a minor's expression
-    is at most S_m = c! (g S)^c, and gamma_2n' fl(S_m), n' = n + (c - 1) (K
-    + 1) + c! + c + 4 counting S_m's own roundings, bounds their control
-    points' rounding.
+    r's net and allowance are ``_residual_net``'s.  d/dw_j of the face's net
+    b of degree d + 1 >= g is (d + 1) (b_(beta + e_j) - b_(beta + e_0)) of
+    degree d (``_partial_rows``), A of it dr/dw_j's, and m_S sums c!
+    products of c of those, nets of degrees p and q multiplying to one of
+    degree p + q (``_product_weights``): degree c d = D >= g, r's, so no net
+    is elevated.  A partial's control point takes n_p = h/2 + C(d + 1 + n,
+    n) + 4 roundings (h, Z and S as in ``_residual_net``) and is at most 2
+    (d + 1) Z on absolute values; A adds N + 1, a product its factors'
+    counts plus K^2 + 3, K = C(D + n, n), for its weights (in [0, 1], summing
+    to 1) and sum, and the signs c!.  With the halvings, d.b and fl(S_m) a
+    minor takes n_m = c (n_p + N + 1) + (c - 1) (K^2 + 3) + c! + (D + 2) L +
+    2 c + M + 4, and is at most S_m = c! (2 (d + 1) S)^c: gamma_2n_m fl(S_m)
+    bounds its rounding.
 
     mu_S = (10 tol_rank + slack) rho |A|_2^c c^((c-1)/2) prod_(j in S)
     max(W_j, f), with |A|_2 <= s_1 + gamma_p |A|_F, s_1 >= ... >= s_c the
-    singular values LAPACK gives for A, and 1 + gamma_(4c+16) covering
-    its own roundings.  W_j bounds |J_j| on the face
-    by the control points of the j-th partials of flatten(sigma_f), which
-    are within gamma_2n g Z of exact (Z from ``smooth_maps._abs_bound``).
-    ``slack`` covers the rounding of Newton's path (Weyl's inequality): a
-    column of ``jacobian_many`` is within sqrt(N) gamma_2F g max Z of J_j,
-    F as in ``_control_points``, which the normalization moves at most 2/f
+    singular values LAPACK gives for A, and 1 + gamma_(4c+16) covering its
+    own roundings.  W_j bounds |J_j| on the face by dflatten/dw_j's net,
+    within gamma_2n_p 2 (d + 1) Z.  ``slack`` covers the rounding of
+    Newton's path (Weyl's inequality): on the restricted face a column of
+    ``jacobian_many`` is within sqrt(N) gamma_h g rho^g max Z of J_j
+    (``_restriction_rounding``), which the normalization moves at most 2/f
     as much, plus gamma_(N+4) for its own roundings; LAPACK's SVDs are
     backward stable with a perturbation at most gamma_p times the Frobenius
     norm, p = 16 (N + k)^2 standing for their dimension constant (Demmel
     and Kahan 1990), which moves K by at most 2 sqrt(N - c) gamma_p (1 + 2
-    |A|_F / s_c) (Wedin 1972) and the least singular value of M by
-    gamma_p |M|_F <= 2 gamma_p sqrt(k + N - c)."""
-    k, c, n_amb = sigma_f.dim, len(constraints), sigma_f.ambient.ambient_dim
-    g = sigma_f.degree()
-    degree = max(g, c * (g - 1))
-    row, to_bernstein, _ = _bernstein(k, degree)
-    coeffs, flat, z, bound = _residual(sigma_f, eqs, degree)
-    own = np.array([flat.terms.get(a, np.zeros(n_amb)) for a in row])
-    both = np.concatenate([own, coeffs], axis=1)
-    partials = np.zeros((k,) + both.shape)  # d/dx_j of flatten's and r's columns
-    for j, (src, dst, power) in enumerate(lowered.T for lowered in _lowered(k, degree)):
-        partials[j, dst] = power[:, None] * both[src]
-    grads = [[{a: v for a, v in zip(row, col) if v} for col in partials[j, :, n_amb:].T.tolist()]
-             for j in range(k)]
-    zero = (0,) * k
+    |A|_F / s_c) (Wedin 1972) and the least singular value of M by gamma_p
+    |M|_F <= 2 gamma_p sqrt(k + N - c)."""
+    n, k, c, n_amb = sigma.dim, len(kept) - 1, len(constraints), sigma.ambient.ambient_dim
+    g, z = sigma.degree(), _abs_bound(sigma)
+    d = max(g - 1, -(-g // c))
+    degree = c * d
     subsets = list(itertools.combinations(range(k), c))
-    minors = []
-    for cols in subsets:
-        total: dict = {}
-        for perm in itertools.permutations(range(c)):
-            sign = (-1.0) ** sum(p > q for p, q in itertools.combinations(perm, 2))
-            term = functools.reduce(_product, [grads[cols[p]][i] for i, p in enumerate(perm)])
-            _product(term, {zero: sign}, total)
-        minors.append([total.get(a, 0.0) for a in row])
-    ctrl = to_bernstein @ np.concatenate([coeffs, np.array(minors).T], axis=1)
+    perms = list(itertools.permutations(range(c)))
+    r, error, bound = _residual_net(sigma, nets, kept, eqs, degree, c + len(subsets),
+                                    _CERTIFICATE_DEPTH)
+    face = nets(d + 1)[_face_rows(n, d + 1, kept)]
+    plus, minus = _partial_rows(k, d + 1)
+    partials = (d + 1) * (face[plus] - face[minus])  # (k, K_d, N): d flatten / dw_j
+    grads = partials @ constraints.T  # (k, K_d, c): dr_i / dw_j
 
-    n = _rounding_count(sigma_f, eqs, len(row), ctrl.shape[1], _CERTIFICATE_DEPTH)
-    error = _gamma(2 * n) * bound
-    error_m = (_gamma(2 * (n + (c - 1) * (len(row) + 1) + math.factorial(c) + c + 4))
-               * math.factorial(c) * (g * bound) ** c)
-    jac = np.abs(to_bernstein @ partials[:, :, :n_amb]).max(axis=1) + _gamma(2 * n) * g * z
+    def factor(i):  # dr_i / dw_(S[p[i]]) for every (S, p), shape (K_d, M c!)
+        return grads[[s[p[i]] for s in subsets for p in perms], :, i].T
+
+    term = factor(0)
+    for i in range(1, c):
+        outer = (term[:, None] * factor(i)[None]).reshape(-1, term.shape[1])
+        term = _product_weights(k, i * d, d) @ outer
+    signs = [(-1.0) ** sum(p > q for p, q in itertools.combinations(perm, 2)) for perm in perms]
+    minors = term.reshape(len(term), len(subsets), len(perms)) @ np.array(signs)
+    ctrl = np.concatenate([r, minors], axis=1)
+
+    h = _restriction_rounding(sigma)
+    n_p = h // 2 + math.comb(d + 1 + n, n) + 4
+    n_m = (c * (n_p + n_amb + 1) + (c - 1) * (math.comb(degree + n, n) ** 2 + 3)
+           + math.factorial(c) + (degree + 2) * _CERTIFICATE_DEPTH + 2 * c + len(subsets) + 4)
+    error_m = _gamma(2 * n_m) * math.factorial(c) * (2 * (d + 1) * bound) ** c
+    jac = np.abs(partials).max(axis=1) + _gamma(2 * n_p) * 2 * (d + 1) * z
     widths = np.maximum(np.linalg.norm(jac, axis=1) * (1 + _gamma(2 * n_amb + 8)),
                         _COLUMN_FLOOR)
-    value = (g + 1) * (k + 3) + len(sigma_f.poly.terms) + len(sigma_f.bumps)
     lapack = _gamma(16 * (n_amb + k) ** 2)
     sv = np.linalg.svd(constraints, compute_uv=False)
     frobenius = float(np.linalg.norm(constraints))
-    slack = (math.sqrt(k) * (2 / _COLUMN_FLOOR * math.sqrt(n_amb) * _gamma(2 * value) * g
-                             * float(np.max(z)) + _gamma(n_amb + 4))
+    slack = (math.sqrt(k) * (2 / _COLUMN_FLOOR * math.sqrt(n_amb) * _gamma(2 * h) * g
+                             * _face_rho(kept) ** g * float(np.max(z)) + _gamma(n_amb + 4))
              + 2 * lapack * math.sqrt(k + n_amb - c))
     rho = 1.0
     if c < n_amb:
@@ -511,13 +502,14 @@ def _critical_system(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints:
     return ctrl, degree, bounds, np.concatenate([np.full(c, error), np.full(len(mu), error_m)])
 
 
-def _transverse(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints: np.ndarray,
-                tol_rank: float, tau_root: float) -> bool:
-    """True when every point Newton can keep on this face against the stratum
-    {eqs = 0} provably has a spanning value of at least 10 tol_rank, so the
-    pair can neither fail nor escalate ``is_transverse_pair``.  The map is
-    unprojected in a Euclidean ambient, and the c equations are affine, with
-    ``constraints`` = A, their constant c x N Jacobian, of full rank.
+def _transverse(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
+                constraints: np.ndarray, tol_rank: float, tau_root: float) -> bool:
+    """True when every point Newton can keep on the face ``kept`` of sigma
+    against the stratum {eqs = 0} provably has a spanning value of at least
+    10 tol_rank, so the pair can neither fail nor escalate
+    ``is_transverse_pair``.  The map is unprojected in a Euclidean ambient,
+    and the c equations are affine, with ``constraints`` = A, their constant
+    c x N Jacobian, of full rank.  ``nets`` gives sigma's nets by degree.
 
     On a k-face with k < c the spanning test cannot pass, so the certificate
     is ``_root_free``, with _CERTIFICATE_DEPTH bisections.  For k >= c,
@@ -546,11 +538,12 @@ def _transverse(sigma_f: SmoothSimplexMap, eqs: list[PolyMap], constraints: np.n
     + 2 error, where r~ exceeds tau_root and Newton keeps nothing.  A column
     scaled by its bound t adds one rounding, which 2 error / t covers, as
     error >= 2 u S."""
-    if sigma_f.dim < len(constraints):
-        return _root_free(sigma_f, eqs, tau_root, _CERTIFICATE_DEPTH)
-    ctrl, degree, bounds, errors = _critical_system(sigma_f, eqs, constraints, tol_rank,
+    k = len(kept) - 1
+    if k < len(constraints):
+        return _root_free(sigma, nets, kept, eqs, tau_root, _CERTIFICATE_DEPTH)
+    ctrl, degree, bounds, errors = _critical_system(sigma, nets, kept, eqs, constraints, tol_rank,
                                                     tau_root)
-    return _excluded(ctrl / bounds, sigma_f.dim, degree, 1.0, float(np.max(2 * errors / bounds)),
+    return _excluded(ctrl / bounds, k, degree, 1.0, float(np.max(2 * errors / bounds)),
                      _CERTIFICATE_DEPTH)
 
 
@@ -606,6 +599,7 @@ def _spanning_sv(cols: np.ndarray) -> float:
 
 def _solve_descriptor_pair(
     sigma: SmoothSimplexMap,
+    nets,
     member: CornerManifold,
     vanishing: tuple[int, ...],
     active: tuple[int, ...],
@@ -613,18 +607,20 @@ def _solve_descriptor_pair(
     opts: LocusOptions,
 ) -> IntersectionReport:
     """Located points of one open simplex face against one open member
-    stratum, each with its spanning margin."""
+    stratum, each with its spanning margin.  ``nets`` gives sigma's nets
+    for the root-free test; a face it declines is restricted."""
     n = sigma.dim
-    kept_vertices = tuple(i for i in range(n + 1) if i not in vanishing)
-    beta = face_for_vertices(n, kept_vertices)
-    sigma_f = sigma.restrict(beta)
-    aff = realize_morphism(beta)
-    split = n - len(vanishing)
-
+    kept = tuple(i for i in range(n + 1) if i not in vanishing)
+    split = len(kept) - 1
     if member.kind == LEVEL_SET:
         eqs = [member.level] + [member.inequalities[a] for a in active]
-        if not sigma_f.project_flag and _root_free(sigma_f, eqs, opts.tau_root):
+        if not sigma.project_flag and _root_free(sigma, nets, kept, eqs, opts.tau_root):
             return IntersectionReport(cells_used=cells)
+    beta = face_for_vertices(n, kept)
+    sigma_f = sigma.restrict(beta)
+    aff = realize_morphism(beta)
+
+    if member.kind == LEVEL_SET:
         seeds = simplex_grid(split, cells + 1)
 
         def linearize(w):
@@ -738,15 +734,14 @@ def intersection_locus(
     key = (simplex_depth, id(member), member_depth, cells, opts)
     known = sigma.loci.get(key)
     if known is None or known[0] is not member:
-        finite_flatten(sigma)
+        nets = functools.cache(functools.partial(_control_net, finite_flatten(sigma)))
         n = sigma.dim
         report = IntersectionReport(cells_used=cells)
         if simplex_depth <= n and member_depth in member.depths():
             for vanishing in itertools.combinations(range(n + 1), simplex_depth):
                 for active in member.descriptors(member_depth):
-                    report.extend(
-                        _solve_descriptor_pair(sigma, member, vanishing, active, cells, opts)
-                    )
+                    report.extend(_solve_descriptor_pair(sigma, nets, member, vanishing, active,
+                                                         cells, opts))
             report.points = [report.points[i] for i in _cluster(report.points)]
         known = sigma.loci[key] = (member, report)
     return replace(known[1], points=list(known[1].points))
@@ -865,18 +860,11 @@ def is_T_transverse_ok(
     could neither fail the verdict nor start an escalation.  The other
     depths go to ``is_transverse_pair``.  Only an unprojected map in a
     Euclidean ambient against a level-set member whose strata are all
-    affine and of full rank is certified; anything else is swept whole.
-    A map with a non-finite coefficient raises ``NonFiniteMap``."""
-    finite_flatten(sigma)
+    affine and of full rank is certified, from its nets, restricting no
+    face; anything else is swept whole.  A map with a non-finite coefficient
+    raises ``NonFiniteMap``."""
+    nets = functools.cache(functools.partial(_control_net, finite_flatten(sigma)))
     n = sigma.dim
-    faces: dict[tuple[int, ...], SmoothSimplexMap] = {}
-
-    def face(vanishing):
-        kept = tuple(i for i in range(n + 1) if i not in vanishing)
-        if kept not in faces:
-            faces[kept] = sigma.restrict(face_for_vertices(n, kept))
-        return faces[kept]
-
     ok = True
     for member in members:
         strata = [None]
@@ -885,8 +873,8 @@ def is_T_transverse_ok(
             strata = [_affine_stratum(sigma, member, active) for ell in member.depths()
                       for active in member.descriptors(ell)]
         rest = [k for k in range(n + 1) if None in strata or not all(
-            _transverse(face(vanishing), eqs, rows, tol_rank, opts.tau_root)
-            for vanishing in itertools.combinations(range(n + 1), k) for eqs, rows in strata)]
+            _transverse(sigma, nets, kept, eqs, rows, tol_rank, opts.tau_root)
+            for kept in itertools.combinations(range(n + 1), n + 1 - k) for eqs, rows in strata)]
         if rest:
             ok = is_transverse_pair(sigma, member, tol_rank, rest, opts).ok and ok
     return ok

@@ -100,9 +100,9 @@ def solved(monkeypatch):
     calls = []
     solve = transversal._solve_descriptor_pair
 
-    def counting(sigma, member, *args):
+    def counting(sigma, nets, member, *args):
         calls.append((sigma, member))
-        return solve(sigma, member, *args)
+        return solve(sigma, nets, member, *args)
 
     monkeypatch.setattr(transversal, "_solve_descriptor_pair", counting)
     return calls

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from transim import simplex_geom
 from transim.simplex_geom import (
     DeltaMorphism,
     SimplexDomain,
@@ -174,3 +175,10 @@ def test_lattices_are_shared_and_read_only():
         assert simplex_grid(n, per_dim) is grid
         with pytest.raises(ValueError):
             grid[...] = 1.0
+    # the net tables of the exclusion tests are shared the same way
+    for table, args in ((simplex_geom._face_rows, (3, 4, (1, 3))),
+                        (simplex_geom._partial_rows, (2, 3)),
+                        (simplex_geom._product_weights, (2, 2, 1))):
+        assert table(*args) is table(*args)
+        with pytest.raises(ValueError):
+            table(*args)[...] = 0

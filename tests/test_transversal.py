@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import math
@@ -429,6 +430,16 @@ def cubics(cubic_maps):
     return [dataclasses.replace(c) for c in cubic_maps]
 
 
+def _nets(sigma):
+    """flatten(sigma)'s control net by degree, as the locus finder makes it."""
+    return functools.cache(functools.partial(simplex_geom._control_net, sigma.flatten()))
+
+
+def _faces(n):
+    """Every face of Delta^n by its sorted vertices, smallest first."""
+    return [kept for size in range(1, n + 2) for kept in itertools.combinations(range(n + 1), size)]
+
+
 def _exclusion_verdicts(monkeypatch, force_newton=False):
     """Record the verdict of every root-free test, keyed by (member,
     vanishing, active, cells) of its face solve.  With ``force_newton`` the
@@ -440,9 +451,9 @@ def _exclusion_verdicts(monkeypatch, force_newton=False):
     root_free = transversal._root_free
     newton = transversal._batched_newton
 
-    def keyed_solve(sigma, member, vanishing, active, cells, opts):
+    def keyed_solve(sigma, nets, member, vanishing, active, cells, opts):
         key[:] = [(member.name, vanishing, active, cells)]
-        return solve(sigma, member, vanishing, active, cells, opts)
+        return solve(sigma, nets, member, vanishing, active, cells, opts)
 
     def recording_root_free(*args):
         verdicts[key[0]] = root_free(*args)
@@ -632,13 +643,37 @@ def _fraction_product(p, q):
     return out
 
 
-def _exact_residual(sigma, eqs):
-    """Coefficients of r = e o raw in exact arithmetic on the map's stored
-    data (each bump's w = scale * amplitude as evaluated), one
-    {exponent: Fraction} per equation component."""
-    k = sigma.dim
+def _exact_restriction(raw, n, kept):
+    """Each {exponent: Fraction} of raw, a map on Delta^n, at the realization
+    of the face ``kept`` (entries 0 and +-1), in exact arithmetic."""
+    aff = realize_morphism(face_for_vertices(n, kept))
+    k = len(kept) - 1
     zero = (0,) * k
     units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    xs = [{zero: Fraction(o), **{u: Fraction(m) for u, m in zip(units, row)}}
+          for row, o in zip(aff.matrix.tolist(), aff.offset.tolist())]
+    out = []
+    for comp in raw:
+        face = {}
+        for exp, coef in comp.items():
+            mono = {zero: coef}
+            for x, power in zip(xs, exp):
+                for _ in range(power):
+                    mono = _fraction_product(mono, x)
+            for key, v in mono.items():
+                face[key] = face.get(key, 0) + v
+        out.append(face)
+    return out
+
+
+def _exact_residual(sigma, eqs, kept=None):
+    """Coefficients of r = e o raw in exact arithmetic on the map's stored
+    data (each bump's w = scale * amplitude as evaluated), one
+    {exponent: Fraction} per equation component; with ``kept``, on that face,
+    raw restricted exactly."""
+    n = sigma.dim
+    zero = (0,) * n
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     raw = [{e: Fraction(c[j]) for e, c in sigma.poly.terms.items()}
            for j in range(sigma.ambient.ambient_dim)]
     for b in sigma.bumps:
@@ -649,6 +684,9 @@ def _exact_residual(sigma, eqs):
         for comp, s in zip(raw, b.s):
             for e, v in rho.items():
                 comp[e] = comp.get(e, 0) + w * Fraction(s) * v
+    if kept is not None:
+        raw = _exact_restriction(raw, n, kept)
+        zero = (0,) * (len(kept) - 1)
     out = []
     for e in eqs:
         comps = [{} for _ in range(e.ncomp)]
@@ -715,13 +753,25 @@ def _lower_bounds(ctrl):
     return lower, np.concatenate([axes, d[:, None]], axis=1)
 
 
+def _fixture_bumps(cubic_maps):
+    """A bumped cubic (degree 4 inside, 3 on its facets) and a bumped
+    triangle of a cubic (degree 3)."""
+    return [cubic_maps[3].with_bump(np.array([0.6, -0.8]), amplitude=0.15),
+            cubic_maps[4].restrict(face_for_vertices(3, (0, 1, 3)))
+            .with_bump(np.array([-0.28, 0.96]), amplitude=0.15)]
+
+
 def test_root_free_bounds_hold_in_exact_arithmetic(monkeypatch, cubic_maps):
     """On every piece the root-free test tests, each lower bound of d.b less
     its rounding allowance |d|_1 * error is at most the exact lower bound, and
     each control point is within the allowance of the exact one.  Exact: r's
-    coefficients, the control points and every halving, with Fractions.
-    Faces: all faces of three fixture cubics, bumped cubics and triangles, and
-    the edges near the origin, against the origin and the axis."""
+    coefficients on the face, by exact restriction of the parent's stored
+    data, the control points and every halving, with Fractions.  The exact
+    control points of the map ``restrict`` makes, which Newton works on,
+    are within the allowance too.  Faces: every face of three fixture
+    cubics, of a bumped cubic and triangle (facets one degree lower, tested
+    on the parent's net), and of the edges near the origin, against the
+    origin and the axis."""
     calls = []
 
     def recording(name):
@@ -733,52 +783,56 @@ def test_root_free_bounds_hold_in_exact_arithmetic(monkeypatch, cubic_maps):
             return out
         return wrapper
 
-    for name in ("_control_points", "_bisect"):
+    for name in ("_excluded", "_bisect"):
         monkeypatch.setattr(transversal, name, recording(name))
-    faces = [sigma.restrict(face_for_vertices(3, kept)) for sigma in cubic_maps[:3]
-             for r in range(1, 5) for kept in itertools.combinations(range(4), r)]
-    faces += [cubic_maps[3].with_bump(np.array([0.6, -0.8]), amplitude=0.15),
-              cubic_maps[4].restrict(face_for_vertices(3, (0, 1, 3)))
-              .with_bump(np.array([-0.28, 0.96]), amplitude=0.15)]
-    faces += [edge for gap in (0.0, 1e-11, 1e-10) for edge in _edges_near_origin(gap)]
+    maps = cubic_maps[:3] + _fixture_bumps(cubic_maps)
+    maps += [edge for gap in (0.0, 1e-11, 1e-10) for edge in _edges_near_origin(gap)]
     tau = LocusOptions().tau_root
-    tested = halvings = certified = 0
-    for face in faces:
-        k = face.dim
-        for member in (origin_member(), line_member()):
-            calls.append({"_control_points": [], "_bisect": []})
-            certified += transversal._root_free(face, [member.level], tau)
-            record = calls[-1]
-            degree = face.degree() * member.level.total_degree()
-            index = _bernstein_indices(k, degree)
-            exact = _exact_control_points(_exact_residual(face, [member.level]), k, degree)
-            [(_, (ctrl, error))] = record["_control_points"]
-            allowance = Fraction(error)
-            levels = [(np.concatenate([np.zeros((1, k)), np.eye(k)])[None], ctrl[None])]
-            known = {levels[0][0][0].tobytes(): exact}
-            for (parents, _, _), (children, child_ctrl) in record["_bisect"]:
-                for p, parent in enumerate(parents):
-                    # the half at vertex i replaced vertex j, and the other half vertex i
-                    (j,), (i,) = (np.flatnonzero(np.any(children[q] != parent, axis=1))
-                                  for q in (p, p + len(parents)))
-                    halves = [_exact_halves(comp, i, j) for comp in known[parent.tobytes()]]
-                    known[children[p].tobytes()] = [h[0] for h in halves]
-                    known[children[p + len(parents)].tobytes()] = [h[1] for h in halves]
-                halvings += len(parents)
-                levels.append((children, child_ctrl))
-            for pieces, piece_ctrl in levels:
-                lower, dirs = _lower_bounds(piece_ctrl)
-                for piece, points, bounds, piece_dirs in zip(pieces, piece_ctrl, lower, dirs):
-                    b = known[piece.tobytes()]
-                    for comp, column in zip(b, points.T):
-                        for alpha, x in zip(index, column):
-                            assert abs(Fraction(x) - comp[alpha]) <= allowance
-                    for bound, d in zip(bounds, piece_dirs):
-                        d = [Fraction(x) for x in d]
-                        least = min(sum(x * c[alpha] for x, c in zip(d, b)) for alpha in index)
-                        assert Fraction(bound) - sum(map(abs, d)) * allowance <= least
-                        tested += 1
-    assert certified > 60 and halvings > 300 and tested > 3000
+    tested = halvings = certified = dropped = 0
+    for sigma in maps:
+        n, degree = sigma.dim, sigma.degree()
+        for kept in _faces(n):
+            k = len(kept) - 1
+            face = sigma.restrict(face_for_vertices(n, kept))
+            dropped += face.degree() < degree
+            for member in (origin_member(), line_member()):
+                calls.append({"_excluded": [], "_bisect": []})
+                certified += transversal._root_free(sigma, _nets(sigma), kept, [member.level], tau)
+                record = calls[-1]
+                index = _bernstein_indices(k, degree)
+                exact = _exact_control_points(_exact_residual(sigma, [member.level], kept),
+                                              k, degree)
+                restricted = _exact_control_points(_exact_residual(face, [member.level]),
+                                                   k, degree)
+                [((ctrl, _, _, _, error, _), _)] = record["_excluded"]
+                allowance = Fraction(error)
+                for comp, stored in zip(exact, restricted):
+                    assert all(abs(comp[alpha] - stored[alpha]) <= allowance for alpha in index)
+                levels = [(np.concatenate([np.zeros((1, k)), np.eye(k)])[None], ctrl[None])]
+                known = {levels[0][0][0].tobytes(): exact}
+                for (parents, _, _), (children, child_ctrl) in record["_bisect"]:
+                    for p, parent in enumerate(parents):
+                        # the half at vertex i replaced vertex j, and the other half vertex i
+                        (j,), (i,) = (np.flatnonzero(np.any(children[q] != parent, axis=1))
+                                      for q in (p, p + len(parents)))
+                        halves = [_exact_halves(comp, i, j) for comp in known[parent.tobytes()]]
+                        known[children[p].tobytes()] = [h[0] for h in halves]
+                        known[children[p + len(parents)].tobytes()] = [h[1] for h in halves]
+                    halvings += len(parents)
+                    levels.append((children, child_ctrl))
+                for pieces, piece_ctrl in levels:
+                    lower, dirs = _lower_bounds(piece_ctrl)
+                    for piece, points, bounds, piece_dirs in zip(pieces, piece_ctrl, lower, dirs):
+                        b = known[piece.tobytes()]
+                        for comp, column in zip(b, points.T):
+                            for alpha, x in zip(index, column):
+                                assert abs(Fraction(x) - comp[alpha]) <= allowance
+                        for bound, d in zip(bounds, piece_dirs):
+                            d = [Fraction(x) for x in d]
+                            least = min(sum(x * c[alpha] for x, c in zip(d, b)) for alpha in index)
+                            assert Fraction(bound) - sum(map(abs, d)) * allowance <= least
+                            tested += 1
+    assert certified > 60 and halvings > 300 and tested > 3000 and dropped >= 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -879,9 +933,8 @@ def test_non_finite_residual_is_never_certified():
         poly = PolyMap(1, 2, {(0,): np.array([5.0, 5.0]), (1,): np.array([1.0, bad])})
         edge = SmoothSimplexMap.from_poly(poly, plane())
         # far from the origin: certified, unless a coefficient is NaN
-        assert transversal._root_free(edge, [level], tau) == (bad == 0.0)
-        vertex = edge.restrict(DeltaMorphism.face(0, 1))
-        assert transversal._root_free(vertex, [level], tau) == (bad == 0.0)
+        assert transversal._root_free(edge, _nets(edge), (0, 1), [level], tau) == (bad == 0.0)
+        assert transversal._root_free(edge, _nets(edge), (1,), [level], tau) == (bad == 0.0)
 
 
 def _pairwise_greedy(points):
@@ -929,7 +982,7 @@ _TAU = LocusOptions().tau_root
 def _pair_verdicts(sigma, member):
     """The certificate's verdict on every pair of a face of dimension k >= c
     and a stratum of the member, keyed by (vanishing, active)."""
-    n = sigma.dim
+    n, nets = sigma.dim, _nets(sigma)
     out = {}
     for ell in member.depths():
         for active in member.descriptors(ell):
@@ -937,8 +990,8 @@ def _pair_verdicts(sigma, member):
             for k in range(len(rows), n + 1):
                 for kept in itertools.combinations(range(n + 1), k + 1):
                     vanishing = tuple(i for i in range(n + 1) if i not in kept)
-                    face = sigma.restrict(face_for_vertices(n, kept))
-                    out[vanishing, active] = transversal._transverse(face, eqs, rows, _TOL, _TAU)
+                    out[vanishing, active] = transversal._transverse(sigma, nets, kept, eqs, rows,
+                                                                     _TOL, _TAU)
     return out
 
 
@@ -988,7 +1041,8 @@ def test_certified_pairs_give_newton_no_point_below_ten_tol_rank(monkeypatch, cu
         tally[member.name, k, bool(sigma.bumps)] += 1
         for cells in (8, 32):
             report = transversal._solve_descriptor_pair(
-                sigma, member, vanishing, active, cells, LocusOptions(cells_per_dim=cells))
+                sigma, _nets(sigma), member, vanishing, active, cells,
+                LocusOptions(cells_per_dim=cells))
             located += len(report.points)
             assert all(p.spanning_sv >= 10 * _TOL for p in report.points), (member.name, k)
     for name, least in (("origin", 2), ("axis", 1)):
@@ -1091,35 +1145,119 @@ def _exact_minors(r, k, c):
 def test_critical_system_bounds_hold_in_exact_arithmetic(cubic_maps):
     """Every control point of the critical system (r and the minors of Dr)
     is within its column's allowance of the exact one, computed with
-    Fractions from the map's stored data; and rounding does move some minor
-    control points, so the minors' allowance is tested.  Faces: every face
-    with k >= c of two fixture cubics, a bumped cubic and a bumped
-    triangle, and the scaled crossings, against the origin and the axis."""
-    faces = [sigma.restrict(face_for_vertices(3, kept)) for sigma in cubic_maps[:2]
-             for r in range(2, 5) for kept in itertools.combinations(range(4), r)]
-    faces += [cubic_maps[3].with_bump(np.array([0.6, -0.8]), amplitude=0.15),
-              cubic_maps[4].restrict(face_for_vertices(3, (0, 1, 3)))
-              .with_bump(np.array([-0.28, 0.96]), amplitude=0.15)]
-    faces += [s for group in _scaled_crossings() for s in group]
-    checked = moved = 0
-    for face in faces:
+    Fractions from the exact restriction of the map's stored data; and
+    rounding does move some minor control points, so the minors' allowance
+    is tested.  Faces: every face with k >= c of two fixture cubics, of a
+    bumped cubic and triangle (facets one degree lower, tested on the
+    parent's net) and of the scaled crossings, against the origin and the
+    axis."""
+    parents = cubic_maps[:2] + _fixture_bumps(cubic_maps)
+    parents += [s for group in _scaled_crossings() for s in group]
+    checked = moved = dropped = 0
+    for sigma in parents:
+        n, nets = sigma.dim, _nets(sigma)
         for member in (origin_member(), line_member()):
-            eqs, rows = transversal._affine_stratum(face, member, ())
+            eqs, rows = transversal._affine_stratum(sigma, member, ())
             c = len(rows)
-            if face.dim < c:
-                continue
-            ctrl, degree, bounds, errors = transversal._critical_system(face, eqs, rows, _TOL, _TAU)
-            r = _exact_residual(face, eqs)
-            exact = _exact_control_points(r + _exact_minors(r, face.dim, c), face.dim, degree)
-            assert np.all(bounds > 0) and len(exact) == ctrl.shape[1]
-            index = _bernstein_indices(face.dim, degree)
-            for column, comp, allowance in zip(ctrl.T, exact, errors):
-                diffs = [abs(Fraction(x) - comp[alpha]) for alpha, x in zip(index, column)]
-                assert max(diffs) <= Fraction(allowance)
-                checked += len(diffs)
-            moved += any(Fraction(x) != comp[alpha] for column, comp in zip(ctrl.T[c:], exact[c:])
-                         for alpha, x in zip(index, column))
-    assert checked > 1500 and moved > 20
+            for kept in _faces(n):
+                k = len(kept) - 1
+                if k < c:
+                    continue
+                dropped += sigma.restrict(face_for_vertices(n, kept)).degree() < sigma.degree()
+                ctrl, degree, bounds, errors = transversal._critical_system(sigma, nets, kept, eqs,
+                                                                            rows, _TOL, _TAU)
+                r = _exact_residual(sigma, eqs, kept)
+                exact = _exact_control_points(r + _exact_minors(r, k, c), k, degree)
+                assert np.all(bounds > 0) and len(exact) == ctrl.shape[1]
+                index = _bernstein_indices(k, degree)
+                for column, comp, allowance in zip(ctrl.T, exact, errors):
+                    diffs = [abs(Fraction(x) - comp[alpha]) for alpha, x in zip(index, column)]
+                    assert max(diffs) <= Fraction(allowance)
+                    checked += len(diffs)
+                moved += any(Fraction(x) != comp[alpha]
+                             for column, comp in zip(ctrl.T[c:], exact[c:])
+                             for alpha, x in zip(index, column))
+    assert checked > 1500 and moved > 20 and dropped >= 4
+
+
+def test_certification_restricts_only_the_faces_it_declines(monkeypatch, cubic_maps):
+    """On fresh copies of a fixture cubic, against the origin and the axis,
+    the verdict-only check restricts no face, and the locus finder restricts
+    exactly the faces the root-free test declines."""
+    restricted, declined = [], []
+    restrict, root_free = SmoothSimplexMap.restrict, transversal._root_free
+
+    def recording_restrict(self, beta):
+        restricted.append(beta.values)
+        return restrict(self, beta)
+
+    def recording_root_free(sigma, nets, kept, *args):
+        ok = root_free(sigma, nets, kept, *args)
+        declined.extend([kept] * (not ok))
+        return ok
+
+    monkeypatch.setattr(SmoothSimplexMap, "restrict", recording_restrict)
+    monkeypatch.setattr(transversal, "_root_free", recording_root_free)
+    solved = 0
+    for member in (origin_member(), line_member()):
+        assert transversal.is_T_transverse_ok(dataclasses.replace(cubic_maps[0]),
+                                              TCollection.of(member))
+        assert restricted == []
+        declined.clear()
+        sigma = dataclasses.replace(cubic_maps[0])
+        for k in range(4):
+            intersection_locus(sigma, k, member, 0)
+        assert sorted(restricted) == sorted(declined)
+        solved += len(restricted)
+        restricted.clear()
+    assert solved > 0
+
+
+def _circle():
+    """The circle x^2 + y^2 = 1/4 in the plane, a curved level-set member."""
+    level = PolyMap(2, 1, {(0, 0): [-0.25], (2, 0): [1.0], (0, 2): [1.0]})
+    return CornerManifold.level_set_in("circle", plane(), level)
+
+
+def test_a_curved_stratum_goes_to_newton(monkeypatch):
+    """An unprojected affine edge and a cubic triangle against the circle:
+    no exclusion runs, the locus finder finds the analytic crossings, and
+    the verdict-only check agrees with ``is_T_transverse``."""
+    excluded, real = [], transversal._excluded
+
+    def recording(*args):
+        excluded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transversal, "_excluded", recording)
+    circle = _circle()
+    edge = SmoothSimplexMap.affine_from_vertices(np.array([[-1.0, 0.1], [1.0, 0.1]]), plane())
+    crossings = sorted(p.x[0] for p in intersection_locus(edge, 0, circle, 0).points)
+    assert np.allclose(crossings, (1 + np.array([-1, 1]) * math.sqrt(0.24)) / 2,
+                       rtol=0, atol=1e-9)
+    triangle = _map(2, {(0, 0): (-0.5, -0.45), (1, 0): (1.2, 0), (0, 1): (0, 1.1),
+                        (1, 1): (-0.1, 0), (0, 3): (0.3, 0), (2, 1): (0, 0.25)})
+    located = 0
+    for kept in itertools.combinations(range(3), 2):
+        x, y = _power_coefficients(triangle.restrict(face_for_vertices(2, kept)))
+        roots = _real_roots_in_unit_interval(
+            np.polyadd(np.polyadd(np.polymul(x, x), np.polymul(y, y)), [-0.25]))
+        vanishing = tuple(i for i in range(3) if i not in kept)
+        report = transversal._solve_descriptor_pair(
+            triangle, _nets(triangle), circle, vanishing, (), 8, LocusOptions())
+        points = np.array([p.z for p in report.points]).reshape(-1, 2)
+        expected = np.stack([np.polyval(x, roots), np.polyval(y, roots)], axis=1)
+        assert len(points) == len(expected) and len(expected)
+        for z in expected:
+            assert np.min(np.max(np.abs(points - z), axis=1)) < 1e-8
+        located += len(points)
+    inside = intersection_locus(triangle, 0, circle, 0).points
+    assert located >= 4 and inside
+    assert all(abs(p.z @ p.z - 0.25) < 1e-9 for p in inside)
+    for sigma in (edge, triangle):
+        got, ref = _both_verdicts(sigma, TCollection.of(circle))
+        assert got == ref
+    assert not excluded
 
 
 # -- the verdict-only entry point -----------------------------------------------------
