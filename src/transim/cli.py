@@ -226,88 +226,73 @@ def _finite_or_none(x: float):
     return None if (x is None or math.isinf(x)) else float(x)
 
 
+def _guarded(errors: list, label: str, row: dict, fill, *args) -> dict:
+    """``row`` with the fields ``fill(*args)`` gives.  If it raises a
+    ``TransimError``, the row gets {"error": its type name} instead and the
+    message goes to ``errors`` under ``label``: every step reports a failed
+    simplex or chain this way and goes on to the next, and a step with an
+    error row is not ok (``run_scenario``)."""
+    try:
+        return {**row, **fill(*args)}
+    except TransimError as exc:
+        errors.append(f"{label}: {exc}")
+        return {**row, "error": type(exc).__name__}
+
+
 def _step_check(world: _World, expect: dict, errors: list) -> dict:
-    rows = []
-    for idx, sigma in enumerate(world.simplices):
-        res = is_T_transverse(sigma, world.collection, world.tols["tol_rank"],
-                              opts=world.opts)
-        rows.append({
-            "simplex": idx,
-            "transverse": bool(res.ok),
-            "min_sv": _finite_or_none(res.min_sv),
-        })
+    def check(sigma):
+        res = is_T_transverse(sigma, world.collection, world.tols["tol_rank"], opts=world.opts)
+        return {"transverse": bool(res.ok), "min_sv": _finite_or_none(res.min_sv)}
+
+    rows = [_guarded(errors, f"check simplex {idx}", {"simplex": idx}, check, sigma)
+            for idx, sigma in enumerate(world.simplices)]
     ok = True
     if expect.get("all_transverse"):
-        ok = ok and all(r["transverse"] for r in rows)
+        ok = ok and all(r.get("transverse") for r in rows)
     if "not_transverse" in expect:
-        bad = {r["simplex"] for r in rows if not r["transverse"]}
+        bad = {r["simplex"] for r in rows if r.get("transverse") is False}
         ok = ok and bad == set(expect["not_transverse"])
     return {"rows": rows, "ok": ok}
 
 
 def _step_perturb(world: _World, expect: dict, errors: list) -> dict:
-    rows = []
-    ok = True
-    for idx, sigma in enumerate(world.simplices):
-        res = is_T_transverse(sigma, world.collection, world.tols["tol_rank"],
-                              opts=world.opts)
-        if res.ok:
-            rows.append({"simplex": idx, "skipped": "already transverse"})
-            continue
-        try:
-            out = perturb_to_transverse(
-                sigma, world.collection, seed=world.seed,
-                max_trials=world.max_trials,
-                tol_rank=world.tols["tol_rank"], opts=world.opts,
-            )
-        except TransimError as exc:
-            errors.append(f"perturb simplex {idx}: {exc}")
-            rows.append({"simplex": idx, "error": type(exc).__name__})
-            ok = False
-            continue
-        n = sigma.dim
-        grid = simplex_grid(n, 24)
+    def perturb(sigma):
+        if is_T_transverse(sigma, world.collection, world.tols["tol_rank"], opts=world.opts).ok:
+            return {"skipped": "already transverse"}
+        out = perturb_to_transverse(
+            sigma, world.collection, seed=world.seed, max_trials=world.max_trials,
+            tol_rank=world.tols["tol_rank"], opts=world.opts,
+        )
+        grid = simplex_grid(sigma.dim, 24)
         start = float(np.max(np.abs(
-            out.sigma_prime.with_last_bump_scale(0.0).eval_many(grid)
-            - sigma.eval_many(grid)
+            out.sigma_prime.with_last_bump_scale(0.0).eval_many(grid) - sigma.eval_many(grid)
         )))
-        rows.append({
-            "simplex": idx,
-            "trials": out.trials_used,
-            "min_sv": _finite_or_none(out.min_sv),
-            "amplitude": out.amplitude,
-            "start_error": start,
-        })
-    return {"rows": rows, "ok": ok}
+        return {"trials": out.trials_used, "min_sv": _finite_or_none(out.min_sv),
+                "amplitude": out.amplitude, "start_error": start}
+
+    rows = [_guarded(errors, f"perturb simplex {idx}", {"simplex": idx}, perturb, sigma)
+            for idx, sigma in enumerate(world.simplices)]
+    return {"rows": rows, "ok": True}
 
 
 def _step_retract(world: _World, expect: dict, errors: list) -> dict:
     fam = world.family()
-    rows = []
-    ok = True
-    for idx, rid in enumerate(world.record_ids()):
+
+    def retract(rid):
         rec = fam.records[rid]
-        try:
-            image = fam.retract(rec)
-        except TransimError as exc:
-            errors.append(f"retract simplex {idx}: {exc}")
-            rows.append({"simplex": idx, "record": rid, "error": type(exc).__name__})
-            ok = False
-            continue
-        after = is_T_transverse(image.map, world.collection,
-                                world.tols["tol_rank"], opts=world.opts)
-        rows.append({
-            "simplex": idx,
-            "record": rid,
-            "retracted": image.id,
-            "fixed": image.id == rid,
-            "transverse_after": bool(after.ok),
-        })
+        image = fam.retract(rec)
+        after = is_T_transverse(image.map, world.collection, world.tols["tol_rank"],
+                                opts=world.opts)
         if world.csv_dir is not None:
             os.makedirs(world.csv_dir, exist_ok=True)
-            export_track_csv(
-                fam.track(rec), os.path.join(world.csv_dir, f"track_{rid}.csv")
-            )
+            export_track_csv(fam.track(rec), os.path.join(world.csv_dir, f"track_{rid}.csv"))
+        return {"retracted": image.id, "fixed": image.id == rid,
+                "transverse_after": bool(after.ok)}
+
+    rows = [_guarded(errors, f"retract simplex {idx}", {"simplex": idx, "record": rid},
+                     retract, rid)
+            for idx, rid in enumerate(world.record_ids())]
+    ok = True
     if expect.get("retract_fixed"):
         ok = ok and all(r.get("fixed") for r in rows)
     if expect.get("retract_transverse"):
@@ -318,21 +303,15 @@ def _step_retract(world: _World, expect: dict, errors: list) -> dict:
 def _step_cocycle(world: _World, expect: dict, errors: list) -> dict:
     w = world.dual()
     fam = world.family()
-    rows = []
-    ok = True
-    for idx, rid in enumerate(world.record_ids()):
-        rec = fam.records[rid]
+
+    def count(rec):
         if rec.dim != w.codim + 1:
-            rows.append({"simplex": idx, "skipped": "dimension mismatch"})
-            continue
-        try:
-            total = cocycle_check(w, rec, fam, world.tols["tol_rank"], world.opts)
-        except TransimError as exc:
-            errors.append(f"cocycle simplex {idx}: {exc}")
-            rows.append({"simplex": idx, "error": type(exc).__name__})
-            ok = False
-            continue
-        rows.append({"simplex": idx, "boundary_count": total})
+            return {"skipped": "dimension mismatch"}
+        return {"boundary_count": cocycle_check(w, rec, fam, world.tols["tol_rank"], world.opts)}
+
+    rows = [_guarded(errors, f"cocycle simplex {idx}", {"simplex": idx}, count, fam.records[rid])
+            for idx, rid in enumerate(world.record_ids())]
+    ok = True
     if expect.get("cocycle_zero"):
         ok = ok and all(r.get("boundary_count") == 0
                         for r in rows if "boundary_count" in r)
@@ -343,27 +322,18 @@ def _step_duality(world: _World, expect: dict, errors: list) -> dict:
     w = world.dual()
     fam = world.family()
     ids = world.record_ids()
-    rows = []
+
+    def evaluate(spec):
+        recs = [(int(coeff), fam.records[ids[int(idx)]]) for coeff, idx in spec["terms"]]
+        chain = Chain.build(recs[0][1].dim, recs)
+        closed = boundary(chain, fam).is_zero
+        count = pullback_evaluate(w, chain, fam, world.tols["tol_rank"], world.opts)
+        return {"boundary_zero": bool(closed), "count": count}
+
+    rows = [_guarded(errors, f"duality chain {spec['name']}", {"chain": spec["name"]},
+                     evaluate, spec)
+            for spec in world.cfg.get("chains", [])]
     ok = True
-    for spec in world.cfg.get("chains", []):
-        recs = [(int(coeff), fam.records[ids[int(idx)]])
-                for coeff, idx in spec["terms"]]
-        dim = recs[0][1].dim
-        chain = Chain.build(dim, recs)
-        try:
-            closed = boundary(chain, fam).is_zero
-            count = pullback_evaluate(w, chain, fam, world.tols["tol_rank"],
-                                      world.opts)
-        except TransimError as exc:
-            errors.append(f"duality chain {spec['name']}: {exc}")
-            rows.append({"chain": spec["name"], "error": type(exc).__name__})
-            ok = False
-            continue
-        rows.append({
-            "chain": spec["name"],
-            "boundary_zero": bool(closed),
-            "count": count,
-        })
     wanted = expect.get("counts", {})
     for row in rows:
         if row.get("chain") in wanted:
@@ -401,6 +371,7 @@ def run_scenario(cfg: dict, csv_dir: str | None = None) -> tuple[dict, int]:
         t0 = time.perf_counter()
         result = _STEPS[step](world, expect, errors)
         timings[step] = time.perf_counter() - t0
+        result["ok"] = result["ok"] and not any("error" in r for r in result["rows"])
         steps[step] = result
         overall = overall and result["ok"]
     overall = overall and not errors

@@ -19,10 +19,11 @@ E + (lambda_0 ... lambda_n) * Q: the boundary interpolant E reproduces the
 facet data up to the rounding of one linear solve (it is solved on the
 unisolvent principal lattice in the Bernstein basis), and the interior
 correction Q is a least-squares fit of the remaining residual against the
-barycentric bump, which vanishes on the boundary by construction.  The basis is ``simplex_geom._bernstein_polys``,
-one map whose components run in ``principal_lattice`` order, so the
-interpolation matrix is one evaluation of it at the lattice nodes;
-``simplex_geom`` also holds the root-free test's Bernstein table.
+barycentric bump, which vanishes on the boundary by construction.  The
+basis is ``simplex_geom._bernstein_polys``, one map whose components run in
+``principal_lattice`` order, so the interpolation matrix is one evaluation
+of it at the lattice nodes; ``simplex_geom`` also holds the root-free
+test's Bernstein table.
 """
 
 from __future__ import annotations

@@ -31,9 +31,10 @@ equations of a stratum are affine, the same exclusion runs on the critical
 system (r, the c x c minors of Dr), built from the same nets and scaled so
 that a certified face pair has no point Newton could keep with a spanning
 value below 10 tol_rank (see ``_transverse``).  A simplex depth whose pairs
-all certify is left out of the sweep, which cannot change the verdict, and
-the rest is swept as in ``is_T_transverse``.  ``is_T_transverse``,
-``is_transverse_pair`` and the reports they make are unchanged.
+all certify is left out of the sweep, and the rest is swept as in
+``is_T_transverse``, so its verdict is ``is_T_transverse(...).ok``.  Both
+tests read what they know of a map from one ``_Certificate``, made per
+locus solve or verdict-only call.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ class LocusOptions:
         if isinstance(cells, bool) or not isinstance(cells, int) or cells < 1:
             raise ValueError(f"cells_per_dim must be an int >= 1, got {cells!r}")
         tau = self.tau_root
-        if not isinstance(tau, (int, float)) or not (math.isfinite(tau) and tau > 0):
+        if (isinstance(tau, bool) or not isinstance(tau, (int, float))
+                or not (math.isfinite(tau) and tau > 0)):
             raise ValueError(f"tau_root must be finite and > 0, got {tau!r}")
 
 
@@ -318,41 +320,103 @@ def _gamma(n: int) -> float:
     return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-def _face_rho(kept: tuple[int, ...]) -> int:
-    """rho of ``smooth_maps._restriction_rounding`` for the face ``kept``:
-    1 through vertex 0, else k + 1 (the row 1 - sum w)."""
-    return 1 if kept[0] == 0 else len(kept)
+class _Certificate:
+    """What the exclusion tests know of one map sigma, made per
+    ``intersection_locus`` solve or ``is_T_transverse_ok`` call and dropped
+    with it.  Only ``finite_flatten`` runs at once (a non-finite map raises
+    ``NonFiniteMap``); the rest is made on first use.  The allowances are
+    written in n, g and N, sigma's dimension, degree and ambient dimension;
+    Z = ``_abs_bound(sigma)``; h = ``_restriction_rounding(sigma)``; a
+    face's rho^g, rho its realization's largest absolute row sum; and a
+    stratum's S = max_i |e_i|(Z)."""
+
+    def __init__(self, sigma: SmoothSimplexMap):
+        self.sigma, self.flat = sigma, finite_flatten(sigma)
+        self.n, self.n_amb = sigma.dim, sigma.ambient.ambient_dim
+        self._nets, self._strata = {}, {}
+
+    g = functools.cached_property(lambda self: self.sigma.degree())
+    z = functools.cached_property(lambda self: _abs_bound(self.sigma))
+    h = functools.cached_property(lambda self: _restriction_rounding(self.sigma))
+
+    def rho_g(self, kept: tuple[int, ...]) -> int:
+        """rho^g of the face ``kept``: rho = 1 through vertex 0, else k + 1."""
+        return (1 if kept[0] == 0 else len(kept)) ** self.g
+
+    def net(self, degree: int) -> np.ndarray:
+        """flatten(sigma)'s control net of that degree."""
+        if degree not in self._nets:
+            self._nets[degree] = _control_net(self.flat, degree)
+        return self._nets[degree]
+
+    def stratum(self, member: CornerManifold, active: tuple[int, ...]) -> _Stratum:
+        """The stratum of a level-set member with ``active`` active."""
+        key = id(member), active  # the stratum holds the member, so the id stays its own
+        if key not in self._strata:
+            self._strata[key] = _Stratum(self, member, active)
+        return self._strata[key]
 
 
-def _residual_net(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
-                  degree: int, columns: int, depth: int):
+class _Stratum:
+    """A level-set stratum {e = 0}, e the level and active inequalities, as
+    one map's certificate sees it.  The root-free test needs an unprojected
+    map and affine e, which takes sigma's net to e o sigma's (``netted``);
+    the transversality certificate needs a Euclidean frame too (``rows``)."""
+
+    def __init__(self, cx: _Certificate, member: CornerManifold, active: tuple[int, ...]):
+        self.cx, self.member = cx, member
+        self.eqs = [member.level] + [member.inequalities[a] for a in active]
+        self.netted = not cx.sigma.project_flag and all(e.total_degree() <= 1 for e in self.eqs)
+
+    @functools.cached_property
+    def bound(self) -> float:
+        """S = max_i |e_i|(Z), by e's own evaluation arrays."""
+        def magnitude(e):
+            deg, idx, coef, _, _ = e._eval_arrays()
+            return float(np.max(np.abs(coef).T @ e._monomials(self.cx.z, deg, idx)))
+        return max(map(magnitude, self.eqs))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray | None:
+        """A, e's constant c x N Jacobian, if it passes
+        ``_level_set_tangent``'s rank test, else None: such a stratum raises
+        ``RankDrop`` at its first located point, so only Newton may settle it."""
+        ambient = self.cx.sigma.ambient
+        if not self.netted or ambient.kind != "euclidean":
+            return None
+        z = np.zeros(self.cx.n_amb)
+        rows = (np.concatenate([e.jac_many(z) for e in self.eqs], axis=1)[0]
+                @ ambient.tangent_basis(z))
+        if not np.isfinite(rows).all():
+            return None
+        try:
+            _level_set_tangent(self.member, rows, z)
+        except RankDrop:
+            return None
+        return rows
+
+
+def _residual_net(cx: _Certificate, kept: tuple[int, ...], stratum: _Stratum, degree: int,
+                  columns: int, depth: int):
     """Control points of that degree of r = e o flatten(sigma) on the face
-    ``kept``, for affine e, shape (K, c); ``error``, bounding the rounding of
-    each, of d.b per unit of |d|_1 and of Newton's value of r_i on the face
-    map ``restrict`` makes, in a system of ``columns`` columns bisected
-    ``depth`` times; and S = max_i |e_i|(Z), Z from ``_abs_bound``.
+    ``kept``, for the netted stratum's e, shape (K, c), and ``error``,
+    bounding the rounding of each, of d.b per unit of |d|_1 and of Newton's
+    value of r_i on the face map ``restrict`` makes, in a system of
+    ``columns`` columns bisected ``depth`` times (terms of ``_Certificate``).
 
-    The face's net is a selection of rows of flatten(sigma)'s net (from
-    ``nets``), and e of it is r's net, as the basis sums to 1.  Counting h =
-    ``_restriction_rounding`` for a coefficient of flatten, K + 1 for the
-    control matrix (entries in [0, 1]), K = C(degree + n, n), N + 1 for e,
-    degree + 2 per halving (convex weights) and c + 1 for d.b, each control
-    point is within gamma_n S of exact (``_gamma``), n = h + K + (degree +
-    2) L + N + c + 6.  Newton's r_i is within gamma_(h + N + 2) rho^g S of
-    exact, rho from ``_face_rho``.  As fl(S) >= (1 - gamma_n) S, ``error`` =
-    gamma_2n (1 + rho^g) fl(S) covers both."""
-    n, z = sigma.dim, _abs_bound(sigma)
-    face = nets(degree)[_face_rows(n, degree, kept)]
-
-    def magnitude(e):  # max_i |e_i|(Z), by e's own evaluation arrays
-        deg, idx, coef, _, _ = e._eval_arrays()
-        return float(np.max(np.abs(coef).T @ e._monomials(z, deg, idx)))
-
-    bound = max(map(magnitude, eqs))
-    count = (_restriction_rounding(sigma) + math.comb(degree + n, n) + (degree + 2) * depth
-             + sigma.ambient.ambient_dim + columns + 6)
-    error = _gamma(2 * count) * (1 + _face_rho(kept) ** sigma.degree()) * bound
-    return np.concatenate([e.eval_many(face) for e in eqs], axis=1), error, bound
+    The face's net is a selection of rows of flatten(sigma)'s net, and e of
+    it is r's net, as the basis sums to 1.  Counting h for a coefficient of
+    flatten, K + 1 for the control matrix (entries in [0, 1]), K = C(degree
+    + n, n), N + 1 for e, degree + 2 per halving (convex weights) and c + 1
+    for d.b, each control point is within gamma_n S of exact (``_gamma``),
+    n = h + K + (degree + 2) L + N + c + 6.  Newton's r_i is within
+    gamma_(h + N + 2) rho^g S of exact.  As fl(S) >= (1 - gamma_n) S,
+    ``error`` = gamma_2n (1 + rho^g) fl(S) covers both."""
+    n = cx.n
+    face = cx.net(degree)[_face_rows(n, degree, kept)]
+    count = cx.h + math.comb(degree + n, n) + (degree + 2) * depth + cx.n_amb + columns + 6
+    error = _gamma(2 * count) * (1 + cx.rho_g(kept)) * stratum.bound
+    return np.concatenate([e.eval_many(face) for e in stratum.eqs], axis=1), error
 
 
 def _bisect(pieces: np.ndarray, ctrl: np.ndarray, halves: np.ndarray):
@@ -401,29 +465,24 @@ def _excluded(ctrl: np.ndarray, k: int, degree: int, tau: float, error: float,
     return False
 
 
-def _root_free(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
-               tau_root: float, depth: int = _EXCLUSION_DEPTH) -> bool:
-    """True when Newton's float residual r~ of ``eqs`` on the face ``kept``
-    of the unprojected map ``sigma`` provably keeps max |r~| > tau_root on
-    the closed face: ``_excluded`` gives max |r| > tau_root + error, and r~
-    is within ``error`` of r (see ``_residual_net``).  Curved equations
-    decline, as only an affine e takes sigma's net to e o sigma's."""
-    if any(e.total_degree() > 1 for e in eqs):
-        return False
-    degree = sigma.degree()
-    ctrl, error, _ = _residual_net(sigma, nets, kept, eqs, degree,
-                                   sum(e.ncomp for e in eqs), depth)
-    return _excluded(ctrl, len(kept) - 1, degree, tau_root, error, depth)
+def _root_free(cx: _Certificate, kept: tuple[int, ...], stratum: _Stratum, tau_root: float,
+               depth: int = _EXCLUSION_DEPTH) -> bool:
+    """True when Newton's float residual r~ of the netted ``stratum`` on the
+    face ``kept`` provably keeps max |r~| > tau_root on the closed face:
+    ``_excluded`` gives max |r| > tau_root + error, and r~ is within
+    ``error`` of r (see ``_residual_net``)."""
+    ctrl, error = _residual_net(cx, kept, stratum, cx.g, sum(e.ncomp for e in stratum.eqs), depth)
+    return _excluded(ctrl, len(kept) - 1, cx.g, tau_root, error, depth)
 
 
-def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
-                     constraints: np.ndarray, tol_rank: float, tau_root: float):
+def _critical_system(cx: _Certificate, kept: tuple[int, ...], stratum: _Stratum,
+                     tol_rank: float, tau_root: float):
     """Control points of the critical system (r, m_S) of the k-face ``kept``
-    of sigma against c affine equations, k >= c, at the degree D = c d, d =
-    max(g - 1, ceil(g / c)), shape (K, c + M) with one minor m_S of Dr per
-    c-subset S of the face coordinates; D; each column's bound t (tau' for
-    r, mu_S for m_S, see ``_transverse``); and each column's rounding
-    allowance.
+    against the c affine equations of ``stratum``, k >= c, at the degree D
+    = c d, d = max(g - 1, ceil(g / c)), shape (K, c + M) with one minor m_S
+    of Dr per c-subset S of the face coordinates; D; each column's bound t
+    (tau' for r, mu_S for m_S, see ``_transverse``); and each column's
+    rounding allowance (terms of ``_Certificate``).
 
     r's net and allowance are ``_residual_net``'s.  d/dw_j of the face's net
     b of degree d + 1 >= g is (d + 1) (b_(beta + e_j) - b_(beta + e_0)) of
@@ -431,13 +490,12 @@ def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: 
     products of c of those, nets of degrees p and q multiplying to one of
     degree p + q (``_product_weights``): degree c d = D >= g, r's, so no net
     is elevated.  A partial's control point takes n_p = h/2 + C(d + 1 + n,
-    n) + 4 roundings (h, Z and S as in ``_residual_net``) and is at most 2
-    (d + 1) Z on absolute values; A adds N + 1, a product its factors'
-    counts plus K^2 + 3, K = C(D + n, n), for its weights (in [0, 1], summing
-    to 1) and sum, and the signs c!.  With the halvings, d.b and fl(S_m) a
-    minor takes n_m = c (n_p + N + 1) + (c - 1) (K^2 + 3) + c! + (D + 2) L +
-    2 c + M + 4, and is at most S_m = c! (2 (d + 1) S)^c: gamma_2n_m fl(S_m)
-    bounds its rounding.
+    n) + 4 roundings and is at most 2 (d + 1) Z on absolute values; A adds
+    N + 1, a product its factors' counts plus K^2 + 3, K = C(D + n, n), for
+    its weights (in [0, 1], summing to 1) and sum, and the signs c!.  With
+    the halvings, d.b and fl(S_m) a minor takes n_m = c (n_p + N + 1) + (c -
+    1) (K^2 + 3) + c! + (D + 2) L + 2 c + M + 4, and is at most S_m = c! (2
+    (d + 1) S)^c: gamma_2n_m fl(S_m) bounds its rounding.
 
     mu_S = (10 tol_rank + slack) rho |A|_2^c c^((c-1)/2) prod_(j in S)
     max(W_j, f), with |A|_2 <= s_1 + gamma_p |A|_F, s_1 >= ... >= s_c the
@@ -453,15 +511,15 @@ def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: 
     and Kahan 1990), which moves K by at most 2 sqrt(N - c) gamma_p (1 + 2
     |A|_F / s_c) (Wedin 1972) and the least singular value of M by gamma_p
     |M|_F <= 2 gamma_p sqrt(k + N - c)."""
-    n, k, c, n_amb = sigma.dim, len(kept) - 1, len(constraints), sigma.ambient.ambient_dim
-    g, z = sigma.degree(), _abs_bound(sigma)
+    n, k, n_amb, g, z, h = cx.n, len(kept) - 1, cx.n_amb, cx.g, cx.z, cx.h
+    constraints, bound = stratum.rows, stratum.bound
+    c = len(constraints)
     d = max(g - 1, -(-g // c))
     degree = c * d
     subsets = list(itertools.combinations(range(k), c))
     perms = list(itertools.permutations(range(c)))
-    r, error, bound = _residual_net(sigma, nets, kept, eqs, degree, c + len(subsets),
-                                    _CERTIFICATE_DEPTH)
-    face = nets(d + 1)[_face_rows(n, d + 1, kept)]
+    r, error = _residual_net(cx, kept, stratum, degree, c + len(subsets), _CERTIFICATE_DEPTH)
+    face = cx.net(d + 1)[_face_rows(n, d + 1, kept)]
     plus, minus = _partial_rows(k, d + 1)
     partials = (d + 1) * (face[plus] - face[minus])  # (k, K_d, N): d flatten / dw_j
     grads = partials @ constraints.T  # (k, K_d, c): dr_i / dw_j
@@ -477,7 +535,6 @@ def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: 
     minors = term.reshape(len(term), len(subsets), len(perms)) @ np.array(signs)
     ctrl = np.concatenate([r, minors], axis=1)
 
-    h = _restriction_rounding(sigma)
     n_p = h // 2 + math.comb(d + 1 + n, n) + 4
     n_m = (c * (n_p + n_amb + 1) + (c - 1) * (math.comb(degree + n, n) ** 2 + 3)
            + math.factorial(c) + (degree + 2) * _CERTIFICATE_DEPTH + 2 * c + len(subsets) + 4)
@@ -489,7 +546,7 @@ def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: 
     sv = np.linalg.svd(constraints, compute_uv=False)
     frobenius = float(np.linalg.norm(constraints))
     slack = (math.sqrt(k) * (2 / _COLUMN_FLOOR * math.sqrt(n_amb) * _gamma(2 * h) * g
-                             * _face_rho(kept) ** g * float(np.max(z)) + _gamma(n_amb + 4))
+                             * cx.rho_g(kept) * float(np.max(z)) + _gamma(n_amb + 4))
              + 2 * lapack * math.sqrt(k + n_amb - c))
     rho = 1.0
     if c < n_amb:
@@ -502,14 +559,13 @@ def _critical_system(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: 
     return ctrl, degree, bounds, np.concatenate([np.full(c, error), np.full(len(mu), error_m)])
 
 
-def _transverse(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[PolyMap],
-                constraints: np.ndarray, tol_rank: float, tau_root: float) -> bool:
+def _transverse(cx: _Certificate, kept: tuple[int, ...], stratum: _Stratum, tol_rank: float,
+                tau_root: float) -> bool:
     """True when every point Newton can keep on the face ``kept`` of sigma
-    against the stratum {eqs = 0} provably has a spanning value of at least
-    10 tol_rank, so the pair can neither fail nor escalate
-    ``is_transverse_pair``.  The map is unprojected in a Euclidean ambient,
-    and the c equations are affine, with ``constraints`` = A, their constant
-    c x N Jacobian, of full rank.  ``nets`` gives sigma's nets by degree.
+    against ``stratum`` provably has a spanning value of at least 10
+    tol_rank, so the pair can neither fail nor escalate
+    ``is_transverse_pair``.  The stratum has rows: A = ``stratum.rows``,
+    the constant c x N Jacobian of its c affine equations.
 
     On a k-face with k < c the spanning test cannot pass, so the certificate
     is ``_root_free``, with _CERTIFICATE_DEPTH bisections.  For k >= c,
@@ -539,10 +595,9 @@ def _transverse(sigma: SmoothSimplexMap, nets, kept: tuple[int, ...], eqs: list[
     scaled by its bound t adds one rounding, which 2 error / t covers, as
     error >= 2 u S."""
     k = len(kept) - 1
-    if k < len(constraints):
-        return _root_free(sigma, nets, kept, eqs, tau_root, _CERTIFICATE_DEPTH)
-    ctrl, degree, bounds, errors = _critical_system(sigma, nets, kept, eqs, constraints, tol_rank,
-                                                    tau_root)
+    if k < len(stratum.rows):
+        return _root_free(cx, kept, stratum, tau_root, _CERTIFICATE_DEPTH)
+    ctrl, degree, bounds, errors = _critical_system(cx, kept, stratum, tol_rank, tau_root)
     return _excluded(ctrl / bounds, k, degree, 1.0, float(np.max(2 * errors / bounds)),
                      _CERTIFICATE_DEPTH)
 
@@ -597,24 +652,19 @@ def _spanning_sv(cols: np.ndarray) -> float:
     return float(sv[m - 1])
 
 
-def _solve_descriptor_pair(
-    sigma: SmoothSimplexMap,
-    nets,
-    member: CornerManifold,
-    vanishing: tuple[int, ...],
-    active: tuple[int, ...],
-    cells: int,
-    opts: LocusOptions,
-) -> IntersectionReport:
-    """Located points of one open simplex face against one open member
-    stratum, each with its spanning margin.  ``nets`` gives sigma's nets
-    for the root-free test; a face it declines is restricted."""
-    n = sigma.dim
+def _solve_descriptor_pair(cx: _Certificate, member: CornerManifold, vanishing: tuple[int, ...],
+                           active: tuple[int, ...], cells: int,
+                           opts: LocusOptions) -> IntersectionReport:
+    """Located points of one open face of ``cx``'s map against one open
+    member stratum, each with its spanning margin.  A face the root-free
+    test declines is restricted."""
+    sigma, n = cx.sigma, cx.n
     kept = tuple(i for i in range(n + 1) if i not in vanishing)
     split = len(kept) - 1
     if member.kind == LEVEL_SET:
-        eqs = [member.level] + [member.inequalities[a] for a in active]
-        if not sigma.project_flag and _root_free(sigma, nets, kept, eqs, opts.tau_root):
+        stratum = cx.stratum(member, active)
+        eqs = stratum.eqs
+        if stratum.netted and _root_free(cx, kept, stratum, opts.tau_root):
             return IntersectionReport(cells_used=cells)
     beta = face_for_vertices(n, kept)
     sigma_f = sigma.restrict(beta)
@@ -734,14 +784,14 @@ def intersection_locus(
     key = (simplex_depth, id(member), member_depth, cells, opts)
     known = sigma.loci.get(key)
     if known is None or known[0] is not member:
-        nets = functools.cache(functools.partial(_control_net, finite_flatten(sigma)))
+        cx = _Certificate(sigma)
         n = sigma.dim
         report = IntersectionReport(cells_used=cells)
         if simplex_depth <= n and member_depth in member.depths():
             for vanishing in itertools.combinations(range(n + 1), simplex_depth):
                 for active in member.descriptors(member_depth):
-                    report.extend(_solve_descriptor_pair(sigma, nets, member, vanishing, active,
-                                                         cells, opts))
+                    report.extend(_solve_descriptor_pair(cx, member, vanishing, active, cells,
+                                                         opts))
             report.points = [report.points[i] for i in _cluster(report.points)]
         known = sigma.loci[key] = (member, report)
     return replace(known[1], points=list(known[1].points))
@@ -825,26 +875,6 @@ def is_T_transverse(
     return TransversalityResult(ok=ok, verdicts=verdicts)
 
 
-def _affine_stratum(sigma: SmoothSimplexMap, member: CornerManifold, active: tuple[int, ...]):
-    """The equations of a level-set stratum and their constraint rows in
-    ``sigma``'s tangent frame, when the equations are affine, so the rows
-    are the same at every point, and pass ``_level_set_tangent``'s rank
-    test; else None.  A stratum that fails the test raises ``RankDrop`` at
-    the first point located on it, so only the locus finder may settle it."""
-    eqs = [member.level] + [member.inequalities[a] for a in active]
-    if any(e.total_degree() > 1 for e in eqs):
-        return None
-    z = np.zeros(sigma.ambient.ambient_dim)
-    rows = np.concatenate([e.jac_many(z) for e in eqs], axis=1)[0] @ sigma.ambient.tangent_basis(z)
-    if not np.isfinite(rows).all():
-        return None
-    try:
-        _level_set_tangent(member, rows, z)
-    except RankDrop:
-        return None
-    return eqs, rows
-
-
 def is_T_transverse_ok(
     sigma: SmoothSimplexMap,
     members: TCollection,
@@ -858,23 +888,20 @@ def is_T_transverse_ok(
     depth is certified against every stratum of the member (``_transverse``):
     no point located there has a spanning value below 10 tol_rank, so it
     could neither fail the verdict nor start an escalation.  The other
-    depths go to ``is_transverse_pair``.  Only an unprojected map in a
-    Euclidean ambient against a level-set member whose strata are all
-    affine and of full rank is certified, from its nets, restricting no
-    face; anything else is swept whole.  A map with a non-finite coefficient
-    raises ``NonFiniteMap``."""
-    nets = functools.cache(functools.partial(_control_net, finite_flatten(sigma)))
+    depths go to ``is_transverse_pair``.  Only a level-set member whose
+    strata all have rows (``_Stratum``) is certified, from the map's nets,
+    restricting no face; anything else is swept whole.  A map with a
+    non-finite coefficient raises ``NonFiniteMap``."""
+    cx = _Certificate(sigma)
     n = sigma.dim
     ok = True
     for member in members:
-        strata = [None]
-        if (member.kind == LEVEL_SET and not sigma.project_flag
-                and sigma.ambient.kind == "euclidean"):
-            strata = [_affine_stratum(sigma, member, active) for ell in member.depths()
-                      for active in member.descriptors(ell)]
-        rest = [k for k in range(n + 1) if None in strata or not all(
-            _transverse(sigma, nets, kept, eqs, rows, tol_rank, opts.tau_root)
-            for kept in itertools.combinations(range(n + 1), n + 1 - k) for eqs, rows in strata)]
+        strata = [cx.stratum(member, active) for ell in member.depths()
+                  for active in member.descriptors(ell)] if member.kind == LEVEL_SET else []
+        settled = strata and all(s.rows is not None for s in strata)
+        rest = [k for k in range(n + 1) if not settled or not all(
+            _transverse(cx, kept, s, tol_rank, opts.tau_root)
+            for kept in itertools.combinations(range(n + 1), n + 1 - k) for s in strata)]
         if rest:
             ok = is_transverse_pair(sigma, member, tol_rank, rest, opts).ok and ok
     return ok

@@ -229,3 +229,24 @@ def test_report_text_is_sorted_and_terminated():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert text.index('"c"') < text.index('"d"')
+
+
+def test_a_simplex_outside_the_tube_is_reported_not_raised(tmp_path):
+    """A projected edge of the torus config that leaves the tube: the check
+    step records its OutOfTube like every other step, writes the report and
+    exits 1; ``all_transverse`` reads the error row without a KeyError."""
+    with open(_bundled("torus_duality.json")) as fh:
+        cfg = json.load(fh)
+    edge = {"poly": {"nvars": 1, "ncomp": 4, "terms": [
+        {"exp": [0], "coeff": [3.0, -0.7, 0.7, 0.0]},
+        {"exp": [1], "coeff": [0.0, 1.4, 0.0, 0.0]}]}, "project": True}
+    cfg.update(simplices=[edge], steps=["check", "perturb"], expect={"all_transverse": True})
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["ok"]
+    assert [e.split(":")[0] for e in report["errors"]] == ["check simplex 0", "perturb simplex 0"]
+    for step in ("check", "perturb"):
+        assert report["steps"][step] == {"rows": [{"simplex": 0, "error": "OutOfTube"}],
+                                         "ok": False}

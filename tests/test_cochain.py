@@ -100,9 +100,9 @@ def solved(monkeypatch):
     calls = []
     solve = transversal._solve_descriptor_pair
 
-    def counting(sigma, nets, member, *args):
-        calls.append((sigma, member))
-        return solve(sigma, nets, member, *args)
+    def counting(cx, member, *args):
+        calls.append((cx.sigma, member))
+        return solve(cx, member, *args)
 
     monkeypatch.setattr(transversal, "_solve_descriptor_pair", counting)
     return calls

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import functools
 import importlib.util
 import itertools
 import math
@@ -406,7 +405,7 @@ def test_newton_cycle_exit_returns_the_budget_end(lengths):
 @pytest.mark.parametrize("kwargs", [
     {"cells_per_dim": 0}, {"cells_per_dim": -3}, {"cells_per_dim": 8.0},
     {"cells_per_dim": True}, {"tau_root": float("nan")}, {"tau_root": float("inf")},
-    {"tau_root": 0.0}, {"tau_root": -1e-10},
+    {"tau_root": 0.0}, {"tau_root": -1e-10}, {"tau_root": True},
 ])
 def test_locus_options_are_validated(kwargs):
     with pytest.raises(ValueError):
@@ -430,11 +429,6 @@ def cubics(cubic_maps):
     return [dataclasses.replace(c) for c in cubic_maps]
 
 
-def _nets(sigma):
-    """flatten(sigma)'s control net by degree, as the locus finder makes it."""
-    return functools.cache(functools.partial(simplex_geom._control_net, sigma.flatten()))
-
-
 def _faces(n):
     """Every face of Delta^n by its sorted vertices, smallest first."""
     return [kept for size in range(1, n + 2) for kept in itertools.combinations(range(n + 1), size)]
@@ -451,9 +445,9 @@ def _exclusion_verdicts(monkeypatch, force_newton=False):
     root_free = transversal._root_free
     newton = transversal._batched_newton
 
-    def keyed_solve(sigma, nets, member, vanishing, active, cells, opts):
+    def keyed_solve(cx, member, vanishing, active, cells, opts):
         key[:] = [(member.name, vanishing, active, cells)]
-        return solve(sigma, nets, member, vanishing, active, cells, opts)
+        return solve(cx, member, vanishing, active, cells, opts)
 
     def recording_root_free(*args):
         verdicts[key[0]] = root_free(*args)
@@ -789,15 +783,16 @@ def test_root_free_bounds_hold_in_exact_arithmetic(monkeypatch, cubic_maps):
     maps += [edge for gap in (0.0, 1e-11, 1e-10) for edge in _edges_near_origin(gap)]
     tau = LocusOptions().tau_root
     tested = halvings = certified = dropped = 0
+    members = (origin_member(), line_member())
     for sigma in maps:
-        n, degree = sigma.dim, sigma.degree()
+        n, degree, cx = sigma.dim, sigma.degree(), transversal._Certificate(sigma)
         for kept in _faces(n):
             k = len(kept) - 1
             face = sigma.restrict(face_for_vertices(n, kept))
             dropped += face.degree() < degree
-            for member in (origin_member(), line_member()):
+            for member in members:
                 calls.append({"_excluded": [], "_bisect": []})
-                certified += transversal._root_free(sigma, _nets(sigma), kept, [member.level], tau)
+                certified += transversal._root_free(cx, kept, cx.stratum(member, ()), tau)
                 record = calls[-1]
                 index = _bernstein_indices(k, degree)
                 exact = _exact_control_points(_exact_residual(sigma, [member.level], kept),
@@ -926,15 +921,18 @@ def test_a_solve_that_raises_is_not_remembered(monkeypatch, crossing_triangle):
     assert len(report.points) == 1 and _bits(report) == _bits(fresh)
 
 
-def test_non_finite_residual_is_never_certified():
+def test_non_finite_residual_is_never_certified(monkeypatch):
+    """The root-free test itself declines a NaN net, with the certificate's
+    own ``finite_flatten`` check taken out."""
+    monkeypatch.setattr(transversal, "finite_flatten", SmoothSimplexMap.flatten)
     tau = LocusOptions().tau_root
-    level = origin_member().level
+    origin = origin_member()
     for bad in (0.0, np.nan):
         poly = PolyMap(1, 2, {(0,): np.array([5.0, 5.0]), (1,): np.array([1.0, bad])})
-        edge = SmoothSimplexMap.from_poly(poly, plane())
+        cx = transversal._Certificate(SmoothSimplexMap.from_poly(poly, plane()))
         # far from the origin: certified, unless a coefficient is NaN
-        assert transversal._root_free(edge, _nets(edge), (0, 1), [level], tau) == (bad == 0.0)
-        assert transversal._root_free(edge, _nets(edge), (1,), [level], tau) == (bad == 0.0)
+        for kept in ((0, 1), (1,)):
+            assert transversal._root_free(cx, kept, cx.stratum(origin, ()), tau) == (bad == 0.0)
 
 
 def _pairwise_greedy(points):
@@ -982,16 +980,15 @@ _TAU = LocusOptions().tau_root
 def _pair_verdicts(sigma, member):
     """The certificate's verdict on every pair of a face of dimension k >= c
     and a stratum of the member, keyed by (vanishing, active)."""
-    n, nets = sigma.dim, _nets(sigma)
+    n, cx = sigma.dim, transversal._Certificate(sigma)
     out = {}
     for ell in member.depths():
         for active in member.descriptors(ell):
-            eqs, rows = transversal._affine_stratum(sigma, member, active)
-            for k in range(len(rows), n + 1):
+            stratum = cx.stratum(member, active)
+            for k in range(len(stratum.rows), n + 1):
                 for kept in itertools.combinations(range(n + 1), k + 1):
                     vanishing = tuple(i for i in range(n + 1) if i not in kept)
-                    out[vanishing, active] = transversal._transverse(sigma, nets, kept, eqs, rows,
-                                                                     _TOL, _TAU)
+                    out[vanishing, active] = transversal._transverse(cx, kept, stratum, _TOL, _TAU)
     return out
 
 
@@ -1041,7 +1038,7 @@ def test_certified_pairs_give_newton_no_point_below_ten_tol_rank(monkeypatch, cu
         tally[member.name, k, bool(sigma.bumps)] += 1
         for cells in (8, 32):
             report = transversal._solve_descriptor_pair(
-                sigma, _nets(sigma), member, vanishing, active, cells,
+                transversal._Certificate(sigma), member, vanishing, active, cells,
                 LocusOptions(cells_per_dim=cells))
             located += len(report.points)
             assert all(p.spanning_sv >= 10 * _TOL for p in report.points), (member.name, k)
@@ -1154,18 +1151,19 @@ def test_critical_system_bounds_hold_in_exact_arithmetic(cubic_maps):
     parents = cubic_maps[:2] + _fixture_bumps(cubic_maps)
     parents += [s for group in _scaled_crossings() for s in group]
     checked = moved = dropped = 0
+    members = (origin_member(), line_member())
     for sigma in parents:
-        n, nets = sigma.dim, _nets(sigma)
-        for member in (origin_member(), line_member()):
-            eqs, rows = transversal._affine_stratum(sigma, member, ())
-            c = len(rows)
+        n, cx = sigma.dim, transversal._Certificate(sigma)
+        for member in members:
+            stratum = cx.stratum(member, ())
+            eqs, c = stratum.eqs, len(stratum.rows)
             for kept in _faces(n):
                 k = len(kept) - 1
                 if k < c:
                     continue
                 dropped += sigma.restrict(face_for_vertices(n, kept)).degree() < sigma.degree()
-                ctrl, degree, bounds, errors = transversal._critical_system(sigma, nets, kept, eqs,
-                                                                            rows, _TOL, _TAU)
+                ctrl, degree, bounds, errors = transversal._critical_system(cx, kept, stratum,
+                                                                            _TOL, _TAU)
                 r = _exact_residual(sigma, eqs, kept)
                 exact = _exact_control_points(r + _exact_minors(r, k, c), k, degree)
                 assert np.all(bounds > 0) and len(exact) == ctrl.shape[1]
@@ -1191,8 +1189,8 @@ def test_certification_restricts_only_the_faces_it_declines(monkeypatch, cubic_m
         restricted.append(beta.values)
         return restrict(self, beta)
 
-    def recording_root_free(sigma, nets, kept, *args):
-        ok = root_free(sigma, nets, kept, *args)
+    def recording_root_free(cx, kept, *args):
+        ok = root_free(cx, kept, *args)
         declined.extend([kept] * (not ok))
         return ok
 
@@ -1211,6 +1209,32 @@ def test_certification_restricts_only_the_faces_it_declines(monkeypatch, cubic_m
         solved += len(restricted)
         restricted.clear()
     assert solved > 0
+
+
+def test_per_map_data_is_made_once_per_call(monkeypatch, cubic_maps):
+    """On fresh copies of a fixture cubic against the origin, Z and h are
+    made once per verdict-only check and once per locus solve at each
+    simplex depth, not once per face."""
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(transversal, name)
+
+        def wrapper(m):
+            calls[name] += 1
+            return real(m)
+        return wrapper
+
+    for name in ("_abs_bound", "_restriction_rounding"):
+        monkeypatch.setattr(transversal, name, counting(name))
+    members = TCollection.of(origin_member())
+    once = {"_abs_bound": 1, "_restriction_rounding": 1}
+    assert transversal.is_T_transverse_ok(dataclasses.replace(cubic_maps[0]), members)
+    assert calls == once
+    for k in range(4):
+        calls.clear()
+        intersection_locus(dataclasses.replace(cubic_maps[0]), k, members.members[0], 0)
+        assert calls == once, k
 
 
 def _circle():
@@ -1244,7 +1268,7 @@ def test_a_curved_stratum_goes_to_newton(monkeypatch):
             np.polyadd(np.polyadd(np.polymul(x, x), np.polymul(y, y)), [-0.25]))
         vanishing = tuple(i for i in range(3) if i not in kept)
         report = transversal._solve_descriptor_pair(
-            triangle, _nets(triangle), circle, vanishing, (), 8, LocusOptions())
+            transversal._Certificate(triangle), circle, vanishing, (), 8, LocusOptions())
         points = np.array([p.z for p in report.points]).reshape(-1, 2)
         expected = np.stack([np.polyval(x, roots), np.polyval(y, roots)], axis=1)
         assert len(points) == len(expected) and len(expected)
